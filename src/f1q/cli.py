@@ -287,7 +287,7 @@ def _cmd_delete_build(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_delete_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
-    report = verify_deletion(args.m, args.l)
+    report = verify_deletion(args.m, args.l, budget=args.budget)
     payload = report.to_json()
     text = (
         f"deletion at m={args.m}, l={args.l}: {report.rays_deleted} rays deleted, "

@@ -29,6 +29,7 @@ from .frames import (
     basis_state,
     enumerate_rays,
     enumerate_vectors,
+    ray_count,
     ray_of,
     simple_rays,
     tensor,
@@ -37,10 +38,10 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
-    enumerate_GL,
     enumerate_subunital,
-    gl_order,
     is_unitary,
+    iter_unitaries,
+    unitary_order,
 )
 
 __all__ = [
@@ -95,23 +96,62 @@ def _cloner_targets(m: int, l: int, scope: str) -> list[ProjectiveRay]:
     raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
 
 
+def _sends_all(u: MonomialMatrix, pairs) -> bool:
+    """Whether u maps the ray of every source state to its wanted ray."""
+    return all(ray_of(u.apply(source)) == wanted for source, wanted in pairs)
+
+
 def clones_rays(
     u: MonomialMatrix, blank: StateVector, targets: list[ProjectiveRay]
 ) -> bool:
     """Whether u maps ray(phi (x) blank) to ray(phi (x) phi) for every target."""
-    for phi in targets:
-        rep = phi.representative
-        if ray_of(u.apply(tensor(rep, blank))) != ray_of(tensor(rep, rep)):
-            return False
-    return True
+    reps = (phi.representative for phi in targets)
+    pairs = ((tensor(rep, blank), ray_of(tensor(rep, rep))) for rep in reps)
+    return _sends_all(u, pairs)
 
 
-def _cloner_search_space(
-    m: int, l: int, sigma: InvolutionSpec | None, budget: int | None
-) -> tuple[list[MonomialMatrix], list[StateVector]]:
-    unitaries = [a for a in enumerate_GL(m * m, l, budget) if is_unitary(a, sigma)]
+def _cloner_cases(
+    m: int, l: int, scope: str
+) -> tuple[list[StateVector], list[ProjectiveRay], list[tuple]]:
+    """All blanks, the targets, and the blanks that can still clone.
+
+    Monomial operators preserve support size, so a blank whose support size
+    is not 1 fails every simple ray (the ``NonSimpleObstruction`` count), and
+    both scopes target the simple rays.  A simple blank w^e e_j clones e_i
+    only if column i*m + j goes to row i*m + i: those are its pins.  Each
+    case is (blank index, its (col, row) pins, the (phi (x) blank,
+    ray of phi (x) phi) pair of every target phi).
+    """
+    targets = _cloner_targets(m, l, scope)
+    # Widest supports first: against a simple blank a non-simple target
+    # always fails, so most pairs are rejected after one image.
+    reps = sorted(
+        (phi.representative for phi in targets), key=lambda rep: -len(rep.support())
+    )
+    clones = [ray_of(tensor(rep, rep)) for rep in reps]
     blanks = enumerate_vectors(m, l)
-    return unitaries, blanks
+    cases = []
+    for bi, blank in enumerate(blanks):
+        support = blank.support()
+        if len(support) != 1:
+            continue
+        pins = [(i * m + support[0], i * m + i) for i in range(m)]
+        pairs = [(tensor(rep, blank), clone) for rep, clone in zip(reps, clones)]
+        cases.append((bi, pins, pairs))
+    return blanks, targets, cases
+
+
+def _first_cloner(
+    unitaries, start: int, blank_count: int, cases: list[tuple]
+) -> int | None:
+    """Smallest pair index ui * blank_count + bi of a cloning (unitary, blank)
+    pair, numbering the unitaries from ``start``."""
+    for ui, u in enumerate(unitaries, start):
+        perm = u.perm
+        for bi, pins, pairs in cases:
+            if all(perm[col] == row for col, row in pins) and _sends_all(u, pairs):
+                return ui * blank_count + bi
+    return None
 
 
 def _scan_cloner_chunk(
@@ -119,13 +159,9 @@ def _scan_cloner_chunk(
 ) -> int | None:
     """Scan unitary indices [lo, hi); return the smallest witness pair index."""
     m, l, sigma, scope, budget, lo, hi = args
-    unitaries, blanks = _cloner_search_space(m, l, sigma, budget)
-    targets = _cloner_targets(m, l, scope)
-    for ui in range(lo, hi):
-        for bi, blank in enumerate(blanks):
-            if clones_rays(unitaries[ui], blank, targets):
-                return ui * len(blanks) + bi
-    return None
+    blanks, _, cases = _cloner_cases(m, l, scope)
+    unitaries = itertools.islice(iter_unitaries(m * m, l, sigma, budget), lo, hi)
+    return _first_cloner(unitaries, lo, len(blanks), cases)
 
 
 def search_projective_cloner(
@@ -142,24 +178,21 @@ def search_projective_cloner(
     find none; scope='simple' restricts the demand to the m simple rays and
     is expected to find a witness.  The witness returned is always the first
     in canonical enumeration order (unitaries outer, blanks inner), and the
-    worker count never changes the answer, only the wall time.
+    worker count never changes the answer, only the wall time.  Pairs that
+    provably fail (a non-simple blank, or a unitary that breaks a simple
+    blank's pins) are counted as searched without computing their images.
     """
-    unitaries, blanks = _cloner_search_space(m, l, sigma, budget)
-    targets = _cloner_targets(m, l, scope)
-    check_budget(len(unitaries) * len(blanks), budget, what="cloner search")
+    n = m * m
+    unitaries = iter_unitaries(n, l, sigma, budget)
+    unitary_count = unitary_order(n, l, sigma)
+    blanks, targets, cases = _cloner_cases(m, l, scope)
+    check_budget(unitary_count * len(blanks), budget, what="cloner search")
 
-    best: int | None = None
-    if workers <= 1 or len(unitaries) < 2 * workers:
-        for ui, u in enumerate(unitaries):
-            for bi, blank in enumerate(blanks):
-                if clones_rays(u, blank, targets):
-                    best = ui * len(blanks) + bi
-                    break
-            if best is not None:
-                break
+    if workers <= 1 or unitary_count < 2 * workers:
+        best = _first_cloner(unitaries, 0, len(blanks), cases)
     else:
         bounds = [
-            (len(unitaries) * k // workers, len(unitaries) * (k + 1) // workers)
+            (unitary_count * k // workers, unitary_count * (k + 1) // workers)
             for k in range(workers)
         ]
         jobs = [(m, l, sigma, scope, budget, lo, hi) for lo, hi in bounds]
@@ -169,8 +202,13 @@ def search_projective_cloner(
 
     witness_u = witness_b = None
     if best is not None:
-        witness_u = unitaries[best // len(blanks)]
-        witness_b = blanks[best % len(blanks)]
+        ui, bi = divmod(best, len(blanks))
+        witness_u = next(itertools.islice(iter_unitaries(n, l, sigma), ui, None))
+        witness_b = blanks[bi]
+        # The scan's pins and precomputed pairs are a fast path; the
+        # definition has the last word on a witness.
+        if not clones_rays(witness_u, witness_b, targets):
+            raise AssertionError(f"cloner scan returned a non-cloning pair at {best}")
     return CloneSearchResult(
         m=m,
         l=l,
@@ -178,7 +216,7 @@ def search_projective_cloner(
         found=best is not None,
         witness_operator=witness_u,
         witness_blank=witness_b,
-        unitaries_searched=len(unitaries),
+        unitaries_searched=unitary_count,
         blanks_searched=len(blanks),
         rays_targeted=len(targets),
     )
@@ -320,14 +358,18 @@ class DeletionReport:
         }
 
 
-def verify_deletion(m: int, l: int, blank_index: int = 0) -> DeletionReport:
+def verify_deletion(
+    m: int, l: int, blank_index: int = 0, budget: int | None = None
+) -> DeletionReport:
     """Apply the deleter to phi (x) phi for every ray phi and audit outcomes.
 
     Rays whose designated coordinate is nonzero must come out on the ray of
     phi (x) e_blank (deleted); the rest must be annihilated to the zero
     vector.  Any other outcome would falsify the construction and raises.
+    The ray count is checked against the budget before any ray is built.
     """
     op = build_deletion_operator(m, l, blank_index)
+    check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
     blank = basis_state(blank_index, m, l)
     deleted = annihilated = 0
     for phi in enumerate_rays(m, l):

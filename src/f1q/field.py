@@ -33,6 +33,7 @@ __all__ = [
     "automorphism_group_brute_force",
     "brute_force_exponents",
     "classify_involution",
+    "check_conjugation",
     "involution_brute_force",
 ]
 
@@ -306,6 +307,21 @@ def classify_involution(m: int, r: int) -> InvolutionSpec:
     if m < 1 or r < 1:
         raise ValueError("m and r must be >= 1")
     return InvolutionSpec(m=m, r=r, sub_ok=(r * (r + 2)) % m == 0, ntriv_ok=r % m != 0)
+
+
+def check_conjugation(sigma: InvolutionSpec | None, level: int) -> None:
+    """Reject a conjugation that is not a valid involution at ``level``.
+
+    ``None`` is the identity conjugation and passes at every level.
+    """
+    if sigma is None:
+        return
+    if not sigma.valid:
+        raise ValueError(f"({sigma.m}, {sigma.r}) is not a valid involution")
+    if sigma.m != level:
+        raise ValueError(
+            f"involution lives at level {sigma.m}, cannot act at level {level}"
+        )
 
 
 def involution_brute_force(m: int, r: int, *, bound: int = 64) -> bool:

@@ -19,7 +19,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .field import F1Element, InvolutionSpec, parse_element, unit, zero
+from .field import (
+    F1Element,
+    InvolutionSpec,
+    check_conjugation,
+    parse_element,
+    unit,
+    zero,
+)
 
 __all__ = [
     "StateVector",
@@ -160,15 +167,6 @@ def _check_compatible(x: StateVector, y: StateVector) -> None:
         raise ValueError(f"level mismatch: {x.order} vs {y.order}")
 
 
-def _check_sigma(sigma: InvolutionSpec | None, level: int) -> None:
-    if sigma is None:
-        return
-    if not sigma.valid:
-        raise ValueError(f"({sigma.m}, {sigma.r}) is not a valid involution")
-    if sigma.m != level:
-        raise ValueError(f"involution lives at level {sigma.m}, states at level {level}")
-
-
 def standard_form(
     x: StateVector, y: StateVector, sigma: InvolutionSpec | None = None
 ) -> FormValue:
@@ -180,7 +178,7 @@ def standard_form(
     the level-2 theory, which admits no nontrivial one).
     """
     _check_compatible(x, y)
-    _check_sigma(sigma, x.order)
+    check_conjugation(sigma, x.order)
     terms = []
     for xi, yi in zip(x, y):
         if xi.is_unit and yi.is_unit:

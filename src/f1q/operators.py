@@ -17,10 +17,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .budget import check_budget
-from .field import F1Element, InvolutionSpec, one, parse_element, unit
+from .field import (
+    F1Element,
+    InvolutionSpec,
+    check_conjugation,
+    classify_involution,
+    one,
+    parse_element,
+    unit,
+)
 from .frames import StateVector, zero_state
 
 __all__ = [
@@ -31,6 +39,8 @@ __all__ = [
     "enumerate_GL",
     "gl_order",
     "is_unitary",
+    "unitary_order",
+    "iter_unitaries",
     "unitary_group",
     "is_observable",
     "kronecker",
@@ -242,35 +252,71 @@ def enumerate_GL(m: int, l: int, budget: int | None = None) -> list[MonomialMatr
     return out
 
 
+def _norm_exponent(sigma: InvolutionSpec | None) -> int:
+    """The d with sigma(s) * s = s^d for every unit s: r + 2 under
+    v -> v^(r+1), and 2 under the identity conjugation."""
+    return 2 if sigma is None else sigma.r + 2
+
+
 def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
     """Whether sigma(A^T) A is the identity.
 
     Any singular matrix fails; for a monomial matrix the product collapses to
-    the diagonal of the per-column values sigma(s) * s.
+    the diagonal of the per-column values sigma(s) * s, so each column's
+    exponent e must satisfy (r+2) * e = 0 mod l under v -> v^(r+1), or
+    2 * e = 0 mod l under the identity conjugation.
     """
     if isinstance(a, SubunitalMatrix):
         if not a.is_monomial:
             return False
         a = a.to_monomial()
-    _check_sigma_level(sigma, a.order)
-    product = a.transpose().conj(sigma) @ a
-    return product == MonomialMatrix.identity(a.dim, a.order)
+    check_conjugation(sigma, a.order)
+    d = _norm_exponent(sigma)
+    return all(d * s.exp % a.order == 0 for s in a.scalars)
+
+
+def _unitary_exponents(l: int, sigma: InvolutionSpec | None) -> list[int]:
+    """Exponents of the unit scalars s with sigma(s) * s = 1, ascending."""
+    d = _norm_exponent(sigma)
+    return [e for e in range(l) if d * e % l == 0]
+
+
+def unitary_order(m: int, l: int, sigma: InvolutionSpec | None = None) -> int:
+    """|U(m)| at level l: m! times |U|^m for the unitary scalar subgroup U."""
+    return factorial(m) * len(_unitary_exponents(l, sigma)) ** m
+
+
+def iter_unitaries(
+    m: int, l: int, sigma: InvolutionSpec | None = None, budget: int | None = None
+) -> Iterator[MonomialMatrix]:
+    """The unitary monomial matrices, permutations outer, scalars inner.
+
+    The group is the wreath product of the unitary scalar subgroup with S_m,
+    so it is generated directly rather than filtered out of GL; the order is
+    the same as filtering ``enumerate_GL`` with ``is_unitary``.  Arguments
+    and the budget are checked at call time, before anything is built.
+    """
+    if m < 1 or l < 1:
+        raise ValueError("m and l must be >= 1")
+    check_conjugation(sigma, l)
+    check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
+    scalars = [unit(e, l) for e in _unitary_exponents(l, sigma)]
+    return (
+        MonomialMatrix(l, perm, column_scalars)
+        for perm in itertools.permutations(range(m))
+        for column_scalars in itertools.product(scalars, repeat=m)
+    )
 
 
 def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMatrix]:
-    """The unitary group at level r(r+2) under v -> v^(r+1), by filtering.
+    """The unitary group at level r(r+2) under v -> v^(r+1).
 
-    Every member's scalars satisfy s^(r+2) = 1, and the filtered count is
-    (r+2)^m * m!; both facts are verified by the test suite rather than
-    assumed here.
+    Every member's scalars satisfy s^(r+2) = 1 and the order is
+    (r+2)^m * m!: the wreath product mu_(r+2) wr S_m, built directly.  The
+    test suite checks it against filtering all of GL.
     """
-    from .field import classify_involution
-
     l = r * (r + 2)
-    sigma = classify_involution(l, r)
-    if not sigma.valid:
-        raise ValueError(f"v -> v^{r + 1} is not an involution at level {l}")
-    return [a for a in enumerate_GL(m, l, budget) if is_unitary(a, sigma)]
+    return list(iter_unitaries(m, l, classify_involution(l, r), budget))
 
 
 def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
@@ -279,7 +325,7 @@ def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
         if not h.is_monomial:
             return False
         h = h.to_monomial()
-    _check_sigma_level(sigma, h.order)
+    check_conjugation(sigma, h.order)
     return h == h.transpose().conj(sigma)
 
 
@@ -317,15 +363,6 @@ def enumerate_subunital(dim: int, l: int, budget: int | None = None) -> list[Sub
                     )
                     out.append(SubunitalMatrix(dim, l, cells))
     return out
-
-
-def _check_sigma_level(sigma: InvolutionSpec | None, level: int) -> None:
-    if sigma is None:
-        return
-    if not sigma.valid:
-        raise ValueError(f"({sigma.m}, {sigma.r}) is not a valid involution")
-    if sigma.m != level:
-        raise ValueError(f"involution at level {sigma.m} cannot act at level {level}")
 
 
 def _as_subunital(a: AnyMatrix) -> SubunitalMatrix:

@@ -94,10 +94,15 @@ def _automorphism_group() -> tuple[bool, str]:
 
 def _unitary_groups() -> tuple[bool, str]:
     for m, r in ((2, 1), (3, 1), (2, 2)):
-        got = len(unitary_group(m, r))
-        want = (r + 2) ** m * math.factorial(m)
-        if got != want:
-            return False, f"|U({m}, r={r})| = {got}, expected {want}"
+        l = r * (r + 2)
+        sigma = classify_involution(l, r)
+        eye = MonomialMatrix.identity(m, l)
+        # the product rule sigma(A^T) A = I over all of GL is the oracle
+        want = [a for a in enumerate_GL(m, l) if a.transpose().conj(sigma) @ a == eye]
+        if unitary_group(m, r) != want:
+            return False, f"U({m}, r={r}) differs from the product-rule filter of GL"
+        if len(want) != (r + 2) ** m * math.factorial(m):
+            return False, f"|U({m}, r={r})| = {len(want)}, expected the wreath order"
     for m in range(1, 5):
         gl = enumerate_GL(m, 2)
         if len(gl) != gl_order(m, 2) or not all(is_unitary(a) for a in gl):
@@ -110,7 +115,8 @@ def _unitary_groups() -> tuple[bool, str]:
     if n_obs != 6:
         return False, f"expected 6 observables at m=2, level 2, got {n_obs}"
     return True, (
-        "wreath orders match for (2,1),(3,1),(2,2); U=GL and observables=square "
+        "U equals the product-rule filter of GL element for element, with the "
+        "wreath order, for (2,1),(3,1),(2,2); U=GL and observables=square "
         "roots of identity exhaustively at level 2, m <= 4; 6 observables at m=2"
     )
 

@@ -148,6 +148,24 @@ def test_budget_environment_variable():
     assert proc.returncode == 3
 
 
+def test_delete_verify_respects_budget():
+    # 156 rays at m=4, l=4
+    args = ("delete", "verify", "--m", "4", "--l", "4")
+    assert run_cli(*args, env_extra={"F1Q_BUDGET": "100"}).returncode == 3
+    proc = run_cli(*args, "--budget", "10", "--json")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["status"] == "budget-exceeded"
+
+
+def test_unitary_group_budget_counts_unitaries():
+    # 6144 unitaries, while GL(4) at level 8 has 98304 members
+    args = ("unitary-group", "--m", "4", "--r", "2", "--json")
+    proc = run_cli(*args, "--budget", "10000")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["order"] == 6144
+    assert run_cli(*args, "--budget", "6143").returncode == 3
+
+
 def test_payloads_are_byte_identical_across_runs():
     first = run_cli("noclone", "--m", "2", "--l", "2", "--json").stdout
     second = run_cli("noclone", "--m", "2", "--l", "2", "--json").stdout

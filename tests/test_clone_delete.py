@@ -1,6 +1,8 @@
 """No-cloning searches and the almost-unitary deletion operator."""
 
+from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
+    CloneSearchResult,
     almost_unitary_cloning_fails,
     build_deletion_operator,
     build_simple_cloner,
@@ -21,10 +24,11 @@ from f1q.clone_delete import (
     search_projective_cloner,
     verify_deletion,
 )
-from f1q.field import one, unit, units
+from f1q.field import classify_involution, one, unit, units
 from f1q.frames import (
     basis_state,
     enumerate_rays,
+    enumerate_vectors,
     ray_of,
     simple_rays,
     tensor,
@@ -32,9 +36,83 @@ from f1q.frames import (
 from f1q.operators import (
     MonomialMatrix,
     SubunitalMatrix,
+    enumerate_GL,
     enumerate_subunital,
     is_unitary,
 )
+
+
+def _ray(exps, l):
+    """Canonical ray of a nonzero exponent vector (None for a zero entry)."""
+    lead = next(e for e in exps if e is not None)
+    return tuple(None if e is None else (e - lead) % l for e in exps)
+
+
+def _tensor(x, y, l):
+    return [None if a is None or b is None else (a + b) % l for a in x for b in y]
+
+
+@lru_cache(maxsize=None)
+def product_rule_unitaries(n, l, r):
+    """The filter of all of GL(n) by the product rule sigma(A^T) A = I."""
+    sigma = None if r is None else classify_involution(l, r)
+    eye = MonomialMatrix.identity(n, l)
+    return [a for a in enumerate_GL(n, l) if a.transpose().conj(sigma) @ a == eye]
+
+
+@lru_cache(maxsize=None)
+def brute_force_search(m, l, r, scope):
+    """Every (unitary, blank) pair in canonical order, with no pruning.
+
+    The unitaries are the product-rule filter of GL; the cloning test is
+    redone in plain exponent arithmetic.
+    """
+    n = m * m
+    unitaries = product_rule_unitaries(n, l, r)
+    blanks = enumerate_vectors(m, l)
+    targets = enumerate_rays(m, l) if scope == "all" else simple_rays(m, l)
+    reps = [[x.exp for x in phi.representative] for phi in targets]
+    clones = [_ray(_tensor(rep, rep, l), l) for rep in reps]
+    sources = [[_tensor(rep, [x.exp for x in b], l) for rep in reps] for b in blanks]
+
+    def clones_all(u, blank_sources):
+        for source, clone in zip(blank_sources, clones):
+            image = [None] * n
+            for k, e in enumerate(source):
+                if e is not None:
+                    image[u.perm[k]] = (e + u.scalars[k].exp) % l
+            if _ray(image, l) != clone:
+                return False
+        return True
+
+    witness = next(
+        (
+            (u, blank)
+            for u in unitaries
+            for blank, blank_sources in zip(blanks, sources)
+            if clones_all(u, blank_sources)
+        ),
+        (None, None),
+    )
+    return CloneSearchResult(
+        m=m,
+        l=l,
+        scope=scope,
+        found=witness[0] is not None,
+        witness_operator=witness[0],
+        witness_blank=witness[1],
+        unitaries_searched=len(unitaries),
+        blanks_searched=len(blanks),
+        rays_targeted=len(targets),
+    )
+
+
+SEARCH_CASES = [
+    (m, l, r)
+    for m in (1, 2)
+    for l in range(1, 6)
+    for r in [None] + [r for r in range(1, l + 1) if classify_involution(l, r).valid]
+]
 
 
 def test_scalar_obstruction_empty_iff_level_one():
@@ -78,9 +156,30 @@ def test_search_witness_is_deterministic_under_workers():
     assert seq.witness_blank == par.witness_blank
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("scope", ["all", "simple"])
+@pytest.mark.parametrize("m,l,r", SEARCH_CASES)
+def test_search_matches_brute_force(m, l, r, scope, workers):
+    sigma = None if r is None else classify_involution(l, r)
+    got = search_projective_cloner(m, l, sigma, scope, workers=workers)
+    want = brute_force_search(m, l, r, scope)
+    for f in fields(CloneSearchResult):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
 def test_search_respects_budget():
     with pytest.raises(BudgetExceededError):
         search_projective_cloner(2, 2, budget=50)
+    # at l=3 the budget counts 24 unitaries (GL has 1944) times 15 blanks
+    assert search_projective_cloner(2, 3, budget=360).unitaries_searched == 24
+    with pytest.raises(BudgetExceededError):
+        search_projective_cloner(2, 3, budget=359)
+
+
+def test_deletion_audit_respects_budget():
+    with pytest.raises(BudgetExceededError):
+        verify_deletion(4, 4, budget=155)  # 156 rays
+    assert verify_deletion(4, 4, budget=156).total_rays == 156
 
 
 @pytest.mark.parametrize("m,l", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)])

@@ -18,13 +18,21 @@ from f1q.operators import (
     gl_order,
     is_observable,
     is_unitary,
+    iter_unitaries,
     kronecker,
     matrix_from_json,
     matrix_to_json,
     parse_matrix,
     subunital_count,
     unitary_group,
+    unitary_order,
 )
+
+
+def conjugations(l):
+    """The identity conjugation (None) and every valid involution at level l."""
+    specs = (classify_involution(l, r) for r in range(1, l + 1))
+    return [None] + [sigma for sigma in specs if sigma.valid]
 
 
 @st.composite
@@ -182,6 +190,49 @@ def test_unitary_group_closure(m, r):
         for b in group[:6]:
             assert a @ b in members
         assert a.transpose().conj(sigma) @ a == MonomialMatrix.identity(m, a.order)
+
+
+@pytest.mark.parametrize(
+    "m,l", [(m, l) for m in range(1, 4) for l in range(1, 9)] + [(4, 8)]
+)
+def test_unitary_fast_paths_match_product_rule(m, l):
+    # One pass over GL: is_unitary agrees with the product rule on every
+    # matrix, and iter_unitaries yields exactly the product-rule filter of
+    # GL, as lists in the same order.
+    sigmas = conjugations(l)
+    generated = [iter_unitaries(m, l, sigma) for sigma in sigmas]
+    counts = [0] * len(sigmas)
+    eye = MonomialMatrix.identity(m, l)
+    for a in enumerate_GL(m, l):
+        adjoint = a.transpose()
+        for k, sigma in enumerate(sigmas):
+            # the product rule: sigma(A^T) A = I, by matrix algebra
+            unitary = adjoint.conj(sigma) @ a == eye
+            assert is_unitary(a, sigma) == unitary
+            if unitary:
+                assert next(generated[k]) == a
+                counts[k] += 1
+    for sigma, gen, count in zip(sigmas, generated, counts):
+        assert next(gen, None) is None
+        assert unitary_order(m, l, sigma) == count
+
+
+def test_unitaries_checked_against_budget_not_gl():
+    assert len(unitary_group(4, 2, budget=10_000)) == 6144
+    assert gl_order(4, 8) == 98304
+    with pytest.raises(BudgetExceededError):
+        unitary_group(4, 2, budget=6143)
+    with pytest.raises(BudgetExceededError):
+        iter_unitaries(4, 8, budget=100)  # raised at the call, before any yield
+
+
+def test_iter_unitaries_rejects_bad_conjugation():
+    with pytest.raises(ValueError):
+        iter_unitaries(2, 4, classify_involution(8, 2))  # involution of level 8
+    with pytest.raises(ValueError):
+        iter_unitaries(2, 4, classify_involution(4, 1))  # v -> v^2 is no involution
+    with pytest.raises(ValueError):
+        iter_unitaries(0, 4)
 
 
 @pytest.mark.parametrize("m", range(1, 5))
