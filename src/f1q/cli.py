@@ -16,13 +16,14 @@ import math
 import sys
 import time
 
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, check_budget
 from .clone_delete import (
     build_deletion_operator,
     is_almost_unitary,
     limit_l_infinity,
     limit_m_infinity,
     probability_a1,
+    probability_json,
     search_projective_cloner,
     scalar_obstruction,
     verify_deletion,
@@ -118,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_field_info(args: argparse.Namespace) -> tuple[dict, str, int]:
     l = args.l
+    check_budget(l + 1, args.budget, what=f"elements at level {l}")
     elems = elements(l)
     auts = automorphism_group(l)
     payload = {
@@ -155,6 +157,7 @@ def _involution_record(m: int, r: int, *, with_elements: bool) -> dict:
 
 def _cmd_involutions(args: argparse.Namespace) -> tuple[dict, str, int]:
     m = args.m
+    check_budget(m + 1, args.budget, what=f"elements at level {m}")
     if args.r is not None:
         records = [_involution_record(m, args.r, with_elements=True)]
     else:
@@ -301,15 +304,7 @@ def _cmd_delete_prob(args: argparse.Namespace) -> tuple[dict, str, int]:
     p = probability_a1(args.m, args.l)
     m_inf = limit_m_infinity(args.l)
     l_inf = limit_l_infinity()
-    payload = {
-        "m": args.m,
-        "l": args.l,
-        "probability": {"num": p.numerator, "den": p.denominator},
-        "limits": {
-            "m_inf": {"num": m_inf.numerator, "den": m_inf.denominator},
-            "l_inf": {"num": l_inf.numerator, "den": l_inf.denominator},
-        },
-    }
+    payload = {"m": args.m, "l": args.l, **probability_json(p, args.l)}
     text = (
         f"P(a1 != 0) at m={args.m}, l={args.l}: {p.numerator}/{p.denominator} "
         f"= {float(p):.6f}; limits: m->inf {m_inf}, l->inf {l_inf}"

@@ -38,6 +38,7 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
+    _unitary_slice,
     enumerate_subunital,
     is_unitary,
     iter_unitaries,
@@ -57,6 +58,7 @@ __all__ = [
     "DeletionReport",
     "verify_deletion",
     "probability_a1",
+    "probability_json",
     "limit_m_infinity",
     "limit_l_infinity",
     "AlmostUnitaryCloningScan",
@@ -155,12 +157,15 @@ def _first_cloner(
 
 
 def _scan_cloner_chunk(
-    args: tuple[int, int, InvolutionSpec | None, str, int | None, int, int],
+    args: tuple[int, int, InvolutionSpec | None, str, int, int],
 ) -> int | None:
-    """Scan unitary indices [lo, hi); return the smallest witness pair index."""
-    m, l, sigma, scope, budget, lo, hi = args
+    """Scan unitary indices [lo, hi); return the smallest witness pair index.
+
+    The caller has already checked the arguments and the budget.
+    """
+    m, l, sigma, scope, lo, hi = args
     blanks, _, cases = _cloner_cases(m, l, scope)
-    unitaries = itertools.islice(iter_unitaries(m * m, l, sigma, budget), lo, hi)
+    unitaries = _unitary_slice(m * m, l, sigma, lo, hi)
     return _first_cloner(unitaries, lo, len(blanks), cases)
 
 
@@ -195,7 +200,7 @@ def search_projective_cloner(
             (unitary_count * k // workers, unitary_count * (k + 1) // workers)
             for k in range(workers)
         ]
-        jobs = [(m, l, sigma, scope, budget, lo, hi) for lo, hi in bounds]
+        jobs = [(m, l, sigma, scope, lo, hi) for lo, hi in bounds]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = [h for h in pool.map(_scan_cloner_chunk, jobs) if h is not None]
         best = min(hits) if hits else None
@@ -203,7 +208,7 @@ def search_projective_cloner(
     witness_u = witness_b = None
     if best is not None:
         ui, bi = divmod(best, len(blanks))
-        witness_u = next(itertools.islice(iter_unitaries(n, l, sigma), ui, None))
+        witness_u = next(_unitary_slice(n, l, sigma, ui, ui + 1))
         witness_b = blanks[bi]
         # The scan's pins and precomputed pairs are a fast path; the
         # definition has the last word on a witness.
@@ -340,21 +345,12 @@ class DeletionReport:
         return self.rays_deleted + self.rays_annihilated
 
     def to_json(self) -> dict:
-        m_inf = limit_m_infinity(self.l)
-        l_inf = limit_l_infinity()
         return {
             "m": self.m,
             "l": self.l,
             "deleted": self.rays_deleted,
             "annihilated": self.rays_annihilated,
-            "probability": {
-                "num": self.probability.numerator,
-                "den": self.probability.denominator,
-            },
-            "limits": {
-                "m_inf": {"num": m_inf.numerator, "den": m_inf.denominator},
-                "l_inf": {"num": l_inf.numerator, "den": l_inf.denominator},
-            },
+            **probability_json(self.probability, self.l),
         }
 
 
@@ -412,6 +408,22 @@ def limit_m_infinity(l: int) -> Fraction:
 
 def limit_l_infinity() -> Fraction:
     return Fraction(1)
+
+
+def probability_json(p: Fraction, l: int) -> dict:
+    """The ``probability`` and ``limits`` blocks of a deletion payload at
+    level l, each fraction written as ``{"num": ..., "den": ...}``."""
+
+    def fraction(x: Fraction) -> dict:
+        return {"num": x.numerator, "den": x.denominator}
+
+    return {
+        "probability": fraction(p),
+        "limits": {
+            "m_inf": fraction(limit_m_infinity(l)),
+            "l_inf": fraction(limit_l_infinity()),
+        },
+    }
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ casing anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from math import gcd
 
 __all__ = [
@@ -40,22 +40,43 @@ __all__ = [
 _SCALAR_RE = re.compile(r"^(0|w\^-?\d+)$")
 
 
-@dataclass(frozen=True)
 class F1Element:
     """Zero or a unit w^exp at a fixed level.
 
     ``exp`` is None for zero and otherwise reduced into [0, order).  Elements
     at different levels never compare equal and refuse to multiply.
+
+    Elements are interned and immutable: there is one object per (level,
+    exponent), made the first time it is asked for, so the constructor,
+    products, powers and inverses look up shared objects instead of building
+    new ones.  Equality and hashing are still by value.
     """
 
-    order: int
-    exp: int | None
+    __slots__ = ("order", "exp")
+
+    def __new__(cls, order: int, exp: int | None) -> "F1Element":
+        return interned(order)[None if exp is None else exp % order]
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"field level must be >= 1, got {self.order}")
-        if self.exp is not None:
-            object.__setattr__(self, "exp", self.exp % self.order)
+        """Intern a new element, so every later request returns this object."""
+        _LEVELS[self.order][self.exp] = self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return F1Element, (self.order, self.exp)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not F1Element:
+            return NotImplemented
+        return self is other or (self.order, self.exp) == (other.order, other.exp)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.exp))
 
     @property
     def is_zero(self) -> bool:
@@ -73,31 +94,71 @@ class F1Element:
     def __mul__(self, other: "F1Element") -> "F1Element":
         if not isinstance(other, F1Element):
             return NotImplemented
-        if self.order != other.order:
+        order = self.order
+        if order != other.order:
             raise ValueError(
-                f"cannot multiply elements of levels {self.order} and {other.order}"
+                f"cannot multiply elements of levels {order} and {other.order}"
             )
-        if self.exp is None or other.exp is None:
-            return F1Element(self.order, None)
-        return F1Element(self.order, self.exp + other.exp)
+        if self.exp is None:
+            return self
+        if other.exp is None:
+            return other
+        return _LEVELS[order][(self.exp + other.exp) % order]
 
     def __pow__(self, d: int) -> "F1Element":
         if self.exp is None:
             if d < 1:
                 raise ValueError("0^d is only defined for d >= 1")
             return self
-        return F1Element(self.order, self.exp * d)
+        return _LEVELS[self.order][self.exp * d % self.order]
 
     def inverse(self) -> "F1Element":
         if self.exp is None:
             raise ZeroDivisionError("zero has no inverse")
-        return F1Element(self.order, -self.exp)
+        return _LEVELS[self.order][-self.exp % self.order]
 
     def __str__(self) -> str:
         return "0" if self.exp is None else f"w^{self.exp}"
 
     def __repr__(self) -> str:
         return f"F1Element(l={self.order}, {self})"
+
+
+class _Level(dict):
+    """The elements of one level made so far, keyed by reduced exponent
+    (None for zero); a missing key makes and interns its element."""
+
+    def __init__(self, order: int) -> None:
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, exp: int | None) -> F1Element:
+        if exp is not None and not 0 <= exp < self.order:
+            raise KeyError(exp)
+        x = object.__new__(F1Element)
+        object.__setattr__(x, "order", self.order)
+        object.__setattr__(x, "exp", exp)
+        x.__post_init__()
+        return x
+
+
+_LEVELS: dict[int, _Level] = {}
+
+
+def interned(l: int) -> dict[int | None, F1Element]:
+    """The level-l elements by exponent: ``interned(l)[e]`` is ``unit(e, l)``
+    for e in [0, l), and ``interned(l)[None]`` is ``zero(l)``.
+
+    Entries are made on first use, one at a time, so a huge level costs only
+    the elements actually used.  Kernels that work on exponents index it
+    with already reduced keys.
+    """
+    try:
+        return _LEVELS[l]
+    except KeyError:
+        if l < 1:
+            raise ValueError(f"field level must be >= 1, got {l}") from None
+        return _LEVELS.setdefault(l, _Level(l))
 
 
 def zero(l: int) -> F1Element:

@@ -23,6 +23,7 @@ from .field import (
     F1Element,
     InvolutionSpec,
     check_conjugation,
+    interned,
     parse_element,
     unit,
     zero,
@@ -64,8 +65,9 @@ class StateVector:
         if not entries:
             raise ValueError("state vectors must have dimension >= 1")
         level = entries[0].order
-        if any(e.order != level for e in entries):
-            raise ValueError("all entries of a state vector must share one level")
+        for e in entries:
+            if e.order != level:
+                raise ValueError("all entries of a state vector must share one level")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -86,14 +88,14 @@ class StateVector:
         return self.entries[i]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.entries) if e.is_unit)
+        return tuple(i for i, e in enumerate(self.entries) if e.exp is not None)
 
     def cosupport(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.entries) if e.is_zero)
+        return tuple(i for i, e in enumerate(self.entries) if e.exp is None)
 
     @property
     def is_zero(self) -> bool:
-        return not self.support()
+        return _leading_exp(self) is None
 
     @property
     def is_simple(self) -> bool:
@@ -102,7 +104,13 @@ class StateVector:
     def scale(self, s: F1Element) -> "StateVector":
         if not s.is_unit:
             raise ValueError("states scale by units only")
-        return StateVector(tuple(s * e for e in self.entries))
+        l = self.order
+        if s.order != l:
+            raise ValueError(f"cannot multiply elements of levels {s.order} and {l}")
+        table, d = interned(l), s.exp
+        return StateVector(
+            tuple(e if e.exp is None else table[(e.exp + d) % l] for e in self.entries)
+        )
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + f")@{self.order}"
@@ -244,11 +252,10 @@ class ProjectiveRay:
     representative: StateVector
 
     def __post_init__(self) -> None:
-        rep = self.representative
-        supp = rep.support()
-        if not supp:
+        lead = _leading_exp(self.representative)
+        if lead is None:
             raise ValueError("the zero vector spans no ray")
-        if rep[supp[0]].exp != 0:
+        if lead != 0:
             raise ValueError("ray representative must lead with w^0; use ray_of")
 
     @property
@@ -267,17 +274,26 @@ class ProjectiveRay:
         return f"[{self.representative}]"
 
 
+def _leading_exp(x: StateVector) -> int | None:
+    """Exponent of the first nonzero entry, or None for the zero vector."""
+    for e in x.entries:
+        if e.exp is not None:
+            return e.exp
+    return None
+
+
 def ray_of(x: StateVector) -> ProjectiveRay:
     """Canonicalize: scale so the first nonzero entry has exponent 0.
 
     Every global-scalar orbit contains exactly one such representative, so
     ray equality is representative equality.
     """
-    supp = x.support()
-    if not supp:
+    lead = _leading_exp(x)
+    if lead is None:
         raise ValueError("the zero vector spans no ray")
-    lead = x[supp[0]]
-    return ProjectiveRay(x.scale(lead.inverse()))
+    if lead:
+        x = x.scale(interned(x.order)[-lead % x.order])
+    return ProjectiveRay(x)
 
 
 def rays_equal(p: ProjectiveRay, q: ProjectiveRay) -> bool:
@@ -300,12 +316,8 @@ def enumerate_vectors(m: int, l: int, include_zero: bool = False) -> list[StateV
 
 def enumerate_rays(m: int, l: int) -> list[ProjectiveRay]:
     """All ((l+1)^m - 1)/l rays, in lexicographic order of representatives."""
-    rays = []
-    for v in enumerate_vectors(m, l):
-        supp = v.support()
-        if v[supp[0]].exp == 0:  # keep only canonical representatives
-            rays.append(ProjectiveRay(v))
-    return rays
+    # Keep only canonical representatives.
+    return [ProjectiveRay(v) for v in enumerate_vectors(m, l) if _leading_exp(v) == 0]
 
 
 def ray_count(m: int, l: int) -> int:
@@ -319,6 +331,17 @@ def simple_rays(m: int, l: int) -> list[ProjectiveRay]:
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
     """Row-major tensor product: entry (i, j) at flat index i * dim(y) + j."""
-    if x.order != y.order:
-        raise ValueError(f"level mismatch: {x.order} vs {y.order}")
-    return StateVector(tuple(xi * yj for xi in x for yj in y))
+    l = x.order
+    if l != y.order:
+        raise ValueError(f"level mismatch: {l} vs {y.order}")
+    table = interned(l)
+    zero_row = (table[None],) * y.dim
+    ys = [e.exp for e in y.entries]
+    out: list[F1Element] = []
+    for xi in x.entries:
+        a = xi.exp
+        if a is None:
+            out += zero_row
+        else:
+            out += [yj if b is None else table[(a + b) % l] for yj, b in zip(y.entries, ys)]
+    return StateVector(tuple(out))

@@ -25,11 +25,12 @@ from .field import (
     InvolutionSpec,
     check_conjugation,
     classify_involution,
+    interned,
     one,
     parse_element,
     unit,
 )
-from .frames import StateVector, zero_state
+from .frames import StateVector
 
 __all__ = [
     "MonomialMatrix",
@@ -110,9 +111,12 @@ class MonomialMatrix:
     def apply(self, x: StateVector) -> StateVector:
         if x.dim != self.dim or x.order != self.order:
             raise ValueError("operator/state dimension or level mismatch")
-        out: list[F1Element] = list(zero_state(self.dim, self.order).entries)
-        for j, xj in enumerate(x):
-            out[self.perm[j]] = self.scalars[j] * xj
+        l = self.order
+        table = interned(l)
+        out = [table[None]] * self.dim
+        for i, s, xj in zip(self.perm, self.scalars, x.entries):
+            if xj.exp is not None:
+                out[i] = table[(s.exp + xj.exp) % l]
         return StateVector(tuple(out))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
@@ -192,9 +196,14 @@ class SubunitalMatrix:
     def apply(self, x: StateVector) -> StateVector:
         if x.dim != self.dim or x.order != self.order:
             raise ValueError("operator/state dimension or level mismatch")
-        out = list(zero_state(self.dim, self.order).entries)
+        l = self.order
+        table = interned(l)
+        out = [table[None]] * self.dim
+        entries = x.entries
         for i, j, s in self.cells:
-            out[i] = s * x[j]
+            xj = entries[j].exp
+            if xj is not None:
+                out[i] = table[(s.exp + xj) % l]
         return StateVector(tuple(out))
 
     @property
@@ -300,12 +309,29 @@ def iter_unitaries(
         raise ValueError("m and l must be >= 1")
     check_conjugation(sigma, l)
     check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
+    return _unitary_slice(m, l, sigma, 0, None)
+
+
+def _unitary_slice(
+    m: int, l: int, sigma: InvolutionSpec | None, lo: int, hi: int | None
+) -> Iterator[MonomialMatrix]:
+    """Members lo <= k < hi of ``iter_unitaries(m, l, sigma)``, unchecked.
+
+    Each permutation owns |U|^m consecutive members, so the permutations
+    wholly before ``lo`` are skipped outright, and only the members in the
+    slice are built as matrices.
+    """
     scalars = [unit(e, l) for e in _unitary_exponents(l, sigma)]
-    return (
-        MonomialMatrix(l, perm, column_scalars)
-        for perm in itertools.permutations(range(m))
+    per_perm = len(scalars) ** m
+    skipped = lo // per_perm * per_perm
+    perms = itertools.islice(itertools.permutations(range(m)), lo // per_perm, None)
+    fields = (
+        (l, perm, column_scalars)
+        for perm in perms
         for column_scalars in itertools.product(scalars, repeat=m)
     )
+    stop = None if hi is None else hi - skipped
+    return itertools.starmap(MonomialMatrix, itertools.islice(fields, lo - skipped, stop))
 
 
 def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMatrix]:

@@ -157,6 +157,17 @@ def test_delete_verify_respects_budget():
     assert json.loads(proc.stdout)["status"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "args", [("field", "info", "--l", "5040"), ("involutions", "--m", "720")]
+)
+def test_field_listings_respect_budget(args):
+    # 5041 and 721 elements: refused under a budget of 100, fine by default
+    proc = run_cli(*args, "--json", env_extra={"F1Q_BUDGET": "100"})
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["status"] == "budget-exceeded"
+    assert run_cli(*args, "--json").returncode == 0
+
+
 def test_unitary_group_budget_counts_unitaries():
     # 6144 unitaries, while GL(4) at level 8 has 98304 members
     args = ("unitary-group", "--m", "4", "--r", "2", "--json")

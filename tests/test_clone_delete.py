@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
     CloneSearchResult,
+    _scan_cloner_chunk,
     almost_unitary_cloning_fails,
     build_deletion_operator,
     build_simple_cloner,
@@ -174,6 +175,25 @@ def test_search_respects_budget():
     assert search_projective_cloner(2, 3, budget=360).unitaries_searched == 24
     with pytest.raises(BudgetExceededError):
         search_projective_cloner(2, 3, budget=359)
+
+
+def test_worker_chunk_builds_only_its_slice(monkeypatch):
+    # At m=2, l=3 under v -> v^2 each of the 24 permutations of the tensor
+    # space owns 3^4 = 81 consecutive unitaries.  The chunk [1000, 1944)
+    # skips the 12 permutations before it and builds no matrix below 1000.
+    built = []
+    post_init = MonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.perm)
+        post_init(self)
+
+    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
+    sigma = classify_involution(3, 1)
+    lo, hi = 1000, 1944
+    assert _scan_cloner_chunk((2, 3, sigma, "all", lo, hi)) is None
+    assert len(built) <= hi - lo + 81
+    assert built[0] == (2, 0, 1, 3)  # permutation number 12 of range(4)
 
 
 def test_deletion_audit_respects_budget():

@@ -1,5 +1,8 @@
 """Ground arithmetic: exponent elements, power maps, automorphisms, involutions."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from f1q.field import (
     elements,
     embed,
     frobenius,
+    interned,
     involution_brute_force,
     multiply,
     one,
@@ -22,6 +26,7 @@ from f1q.field import (
     units,
     zero,
 )
+from f1q.frames import StateVector, parse_state, tensor
 
 levels = st.integers(min_value=1, max_value=24)
 exponents = st.integers(min_value=-100, max_value=100)
@@ -236,3 +241,66 @@ def test_element_equality_is_structural():
     assert unit(3, 5) == unit(8, 5)
     assert unit(1, 5) != unit(1, 10)
     assert F1Element(5, None) == zero(5)
+
+
+@given(st.integers(min_value=1, max_value=24), exponents)
+def test_elements_are_interned(l, e):
+    assert unit(e, l) is unit(e + l, l) is F1Element(l, e % l)
+    assert zero(l) is F1Element(l, None)
+    x = unit(e, l)
+    assert x * unit(1, l) is unit(e + 1, l)
+    assert x**3 is unit(3 * e, l)
+    assert x.inverse() is unit(-e, l)
+
+
+@given(level_elements())
+def test_interned_elements_survive_copy_and_pickle(x):
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy(x) is x
+    assert copy.copy(x) is x
+
+
+@given(st.integers(min_value=1, max_value=24), exponents)
+def test_element_hash_is_the_field_tuple_hash(l, e):
+    assert hash(unit(e, l)) == hash((l, e % l))
+    assert hash(zero(l)) == hash((l, None))
+
+
+def test_elements_are_immutable():
+    x = unit(2, 5)
+    with pytest.raises(AttributeError):
+        x.exp = 3
+    with pytest.raises(AttributeError):
+        x.order = 7
+    with pytest.raises(AttributeError):
+        del x.exp
+    assert x is unit(2, 5) and x.exp == 2
+
+
+def test_element_errors_kept():
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            F1Element(bad, 1)
+        with pytest.raises(ValueError):
+            zero(bad)
+    with pytest.raises(ValueError):
+        unit(1, 3) * unit(1, 4)
+    with pytest.raises(ValueError):
+        zero(3) * unit(1, 4)
+
+
+def test_construction_hooks_kept():
+    # Per-element hooks that outside instrumentation wraps by name.
+    assert "__post_init__" in vars(F1Element)
+    assert "__mul__" in vars(F1Element)
+    assert "__post_init__" in vars(StateVector)
+
+
+def test_interning_is_lazy_at_huge_levels():
+    l = 10**9
+    x = parse_state(f"(w^1,0,w^5)@{l}")
+    square = tensor(x, x)
+    assert [e.exp for e in square] == [2, None, 6, None, None, None, 6, None, 10]
+    assert len(interned(l)) <= 8
+    with pytest.raises(KeyError):
+        interned(l)[l]  # tables take reduced exponents only

@@ -18,6 +18,7 @@ from f1q.operators import (
     gl_order,
     is_observable,
     is_unitary,
+    _unitary_slice,
     iter_unitaries,
     kronecker,
     matrix_from_json,
@@ -224,6 +225,13 @@ def test_unitaries_checked_against_budget_not_gl():
         unitary_group(4, 2, budget=6143)
     with pytest.raises(BudgetExceededError):
         iter_unitaries(4, 8, budget=100)  # raised at the call, before any yield
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 1944), (0, 81), (80, 82), (1000, 1944), (1943, 1944)])
+def test_unitary_slice_matches_full_list(lo, hi):
+    # 24 permutations times 3^4 = 81 unitary column scalars at level 3
+    sigma = classify_involution(3, 1)
+    assert list(_unitary_slice(4, 3, sigma, lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
 
 
 def test_iter_unitaries_rejects_bad_conjugation():
