@@ -276,7 +276,7 @@ def _cmd_noclone(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_delete_build(args: argparse.Namespace) -> tuple[dict, str, int]:
-    op = build_deletion_operator(args.m, args.l)
+    op = build_deletion_operator(args.m, args.l, budget=args.budget)
     almost = is_almost_unitary(op)
     payload = {
         "m": args.m,
@@ -356,7 +356,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, str, int, list[list[str]]
             payload, text, code = _cmd_delete_prob(args)
             csv_rows = _delete_prob_csv(args)
     elif args.command == "dictionary":
-        table = dictionary_table(args.q)
+        table = dictionary_table(args.q, budget=args.budget)
         payload = table.to_json()
         text = table.to_markdown()
         code = EXIT_OK if table.aligned else EXIT_INVARIANT

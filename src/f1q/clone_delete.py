@@ -29,7 +29,6 @@ from .frames import (
     basis_state,
     enumerate_rays,
     enumerate_vectors,
-    ray_count,
     ray_of,
     simple_rays,
     tensor,
@@ -90,9 +89,11 @@ class CloneSearchResult:
     rays_targeted: int
 
 
-def _cloner_targets(m: int, l: int, scope: str) -> list[ProjectiveRay]:
+def _cloner_targets(
+    m: int, l: int, scope: str, budget: int | None
+) -> list[ProjectiveRay]:
     if scope == "all":
-        return enumerate_rays(m, l)
+        return enumerate_rays(m, l, budget)
     if scope == "simple":
         return simple_rays(m, l)
     raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
@@ -113,7 +114,7 @@ def clones_rays(
 
 
 def _cloner_cases(
-    m: int, l: int, scope: str
+    m: int, l: int, scope: str, budget: int | None
 ) -> tuple[list[StateVector], list[ProjectiveRay], list[tuple]]:
     """All blanks, the targets, and the blanks that can still clone.
 
@@ -124,14 +125,14 @@ def _cloner_cases(
     case is (blank index, its (col, row) pins, the (phi (x) blank,
     ray of phi (x) phi) pair of every target phi).
     """
-    targets = _cloner_targets(m, l, scope)
+    targets = _cloner_targets(m, l, scope, budget)
     # Widest supports first: against a simple blank a non-simple target
     # always fails, so most pairs are rejected after one image.
     reps = sorted(
         (phi.representative for phi in targets), key=lambda rep: -len(rep.support())
     )
     clones = [ray_of(tensor(rep, rep)) for rep in reps]
-    blanks = enumerate_vectors(m, l)
+    blanks = enumerate_vectors(m, l, budget=budget)
     cases = []
     for bi, blank in enumerate(blanks):
         support = blank.support()
@@ -164,7 +165,7 @@ def _scan_cloner_chunk(
     The caller has already checked the arguments and the budget.
     """
     m, l, sigma, scope, lo, hi = args
-    blanks, _, cases = _cloner_cases(m, l, scope)
+    blanks, _, cases = _cloner_cases(m, l, scope, None)
     unitaries = _unitary_slice(m * m, l, sigma, lo, hi)
     return _first_cloner(unitaries, lo, len(blanks), cases)
 
@@ -190,7 +191,7 @@ def search_projective_cloner(
     n = m * m
     unitaries = iter_unitaries(n, l, sigma, budget)
     unitary_count = unitary_order(n, l, sigma)
-    blanks, targets, cases = _cloner_cases(m, l, scope)
+    blanks, targets, cases = _cloner_cases(m, l, scope, budget)
     check_budget(unitary_count * len(blanks), budget, what="cloner search")
 
     if workers <= 1 or unitary_count < 2 * workers:
@@ -312,18 +313,22 @@ def is_almost_unitary(
     return True
 
 
-def build_deletion_operator(m: int, l: int, blank_index: int = 0) -> SubunitalMatrix:
+def build_deletion_operator(
+    m: int, l: int, blank_index: int = 0, budget: int | None = None
+) -> SubunitalMatrix:
     """The m^2 x m^2 deleter: diagonal ones at positions k*m + blank_index.
 
     With the default blank_index 0 these are the 1-based diagonal positions
     1, m+1, 2m+1, ..., m^2-m+1.  Applied to phi (x) phi it keeps the column
     phi_blank * phi, i.e. a unit multiple of phi (x) e_blank whenever
-    phi_blank is nonzero, and the zero vector otherwise.
+    phi_blank is nonzero, and the zero vector otherwise.  The dimension m^2
+    is checked against the budget before the operator is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= blank_index < m:
         raise ValueError(f"blank index {blank_index} out of range for dimension {m}")
+    check_budget(m * m, budget, what=f"deleter of dimension {m * m}")
     cells = tuple((k * m + blank_index, k * m + blank_index, one(l)) for k in range(m))
     return SubunitalMatrix(m * m, l, cells)
 
@@ -362,13 +367,14 @@ def verify_deletion(
     Rays whose designated coordinate is nonzero must come out on the ray of
     phi (x) e_blank (deleted); the rest must be annihilated to the zero
     vector.  Any other outcome would falsify the construction and raises.
-    The ray count is checked against the budget before any ray is built.
+    The deleter's dimension and the ray count are checked against the
+    budget before anything is built.
     """
-    op = build_deletion_operator(m, l, blank_index)
-    check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
+    op = build_deletion_operator(m, l, blank_index, budget)
+    rays = enumerate_rays(m, l, budget)
     blank = basis_state(blank_index, m, l)
     deleted = annihilated = 0
-    for phi in enumerate_rays(m, l):
+    for phi in rays:
         rep = phi.representative
         image = op.apply(tensor(rep, rep))
         if rep[blank_index].is_unit:
@@ -452,7 +458,7 @@ def almost_unitary_cloning_fails(
     phi (x) blank is nonzero its ray is compared to the clone target; a match
     would be a counterexample, and none is expected.
     """
-    phi = next(r for r in enumerate_rays(m, l) if not r.is_simple)
+    phi = next(r for r in enumerate_rays(m, l, budget) if not r.is_simple)
     rep = phi.representative
     target = ray_of(tensor(rep, rep))
     blanks = [

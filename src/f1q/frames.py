@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .budget import check_budget
 from .field import (
     F1Element,
     InvolutionSpec,
@@ -231,11 +232,22 @@ class PerpSpace:
     def vector_count(self) -> int:
         return (self.of.order + 1) ** self.dimension
 
-    def vectors(self) -> Iterator[StateVector]:
-        free = set(self.free_indices)
-        for v in enumerate_vectors(self.of.dim, self.of.order, include_zero=True):
-            if set(v.support()) <= free:
-                yield v
+    def vectors(self, budget: int | None = None) -> Iterator[StateVector]:
+        """Every member, the zero vector first, in lexicographic order.
+
+        ``vector_count`` is checked against the budget at call time.
+        """
+        what = f"vectors of a perp space of dimension {self.dimension}"
+        check_budget(self.vector_count, budget, what=what)
+        return self._vectors()
+
+    def _vectors(self) -> Iterator[StateVector]:
+        l = self.of.order
+        entries = [zero(l)] * self.of.dim
+        for combo in itertools.product(_entry_choices(l), repeat=self.dimension):
+            for i, e in zip(self.free_indices, combo):
+                entries[i] = e
+            yield StateVector(tuple(entries))
 
 
 def perp_space(x: StateVector) -> PerpSpace:
@@ -300,24 +312,45 @@ def rays_equal(p: ProjectiveRay, q: ProjectiveRay) -> bool:
     return p == q
 
 
-def enumerate_vectors(m: int, l: int, include_zero: bool = False) -> list[StateVector]:
+def _entry_choices(l: int) -> list[F1Element]:
+    """The level-l elements in entry order: zero, then w^0, w^1, ..."""
+    return [zero(l), *(unit(e, l) for e in range(l))]
+
+
+def enumerate_vectors(
+    m: int, l: int, include_zero: bool = False, budget: int | None = None
+) -> list[StateVector]:
     """All vectors of dimension m at level l, in lexicographic entry order
-    (zero before w^0 before w^1 ...)."""
+    (zero before w^0 before w^1 ...).  The (l+1)^m candidates are checked
+    against the budget before any is built."""
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    choices = [zero(l), *(unit(e, l) for e in range(l))]
+    check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
     out = []
-    for combo in itertools.product(choices, repeat=m):
+    for combo in itertools.product(_entry_choices(l), repeat=m):
         v = StateVector(combo)
         if include_zero or not v.is_zero:
             out.append(v)
     return out
 
 
-def enumerate_rays(m: int, l: int) -> list[ProjectiveRay]:
-    """All ((l+1)^m - 1)/l rays, in lexicographic order of representatives."""
-    # Keep only canonical representatives.
-    return [ProjectiveRay(v) for v in enumerate_vectors(m, l) if _leading_exp(v) == 0]
+def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[ProjectiveRay]:
+    """All ((l+1)^m - 1)/l rays, in lexicographic order of representatives.
+
+    Only the canonical representatives are built: i leading zeros, then
+    w^0, then any tail; more leading zeros sort first.  The ray count is
+    checked against the budget before any is built.
+    """
+    if m < 1 or l < 1:
+        raise ValueError("m and l must be >= 1")
+    check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
+    choices = _entry_choices(l)
+    out = []
+    for i in range(m - 1, -1, -1):
+        head = (choices[0],) * i + (choices[1],)
+        for tail in itertools.product(choices, repeat=m - 1 - i):
+            out.append(ProjectiveRay(StateVector(head + tail)))
+    return out
 
 
 def ray_count(m: int, l: int) -> int:

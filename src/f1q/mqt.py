@@ -9,14 +9,24 @@ monoid-field unitary groups carry at r = q - 1.  ``dictionary_table`` lines
 the two theories up side by side and machine-checks that alignment.
 
 Elements of F_{q^2} are coefficient pairs (c0, c1) meaning c0 + c1*t, with t
-a root of the field's modulus polynomial t^2 + b*t + c.
+a root of the field's modulus polynomial t^2 + b*t + c.  Addition works on
+the coefficients.  Everything multiplicative works on discrete logs: each
+field holds the powers g^k of the first primitive element g in ``units()``
+order, their inverse ``log``, and the Zech logarithms Z(k) = log(1 + g^k)
+(Lidl and Niederreiter, *Finite Fields*).  A product of units is a sum of
+logs mod q^2 - 1, the conjugation is e -> q*e, and a sum of units is
+g^a + g^b = g^(a + Z(b - a)).  The dense unitarity scan runs entirely on
+logs; the polynomial product only builds the tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
+from .budget import check_budget
 from .field import classify_involution
 from .operators import unitary_group
 
@@ -46,10 +56,45 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GFField:
-    """F_{q^2} = F_p[t] / (t^2 + b*t + c) with conjugation x -> x^q."""
+    """F_{q^2} = F_p[t] / (t^2 + b*t + c) with conjugation x -> x^q.
+
+    Units are handled as discrete logs to a primitive element g: ``exp[k]``
+    is g^k, ``log`` inverts it, and ``zech[k]`` is log(1 + g^k), or None
+    where 1 + g^k = 0.  The tables are built once, on construction.
+    """
 
     p: int
     modulus: tuple[int, int]
+    exp: tuple[GFElement, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    log: dict[GFElement, int] = dataclasses.field(init=False, repr=False, compare=False)
+    zech: tuple[int | None, ...] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.order - 1
+        g = next(x for x in self.units() if self._poly_order(x) == n)
+        exp = [self.one]
+        for _ in range(n - 1):
+            exp.append(self._poly_mul(exp[-1], g))
+        log = {x: k for k, x in enumerate(exp)}
+        zech = tuple(log.get(self.add(self.one, x)) for x in exp)
+        object.__setattr__(self, "exp", tuple(exp))
+        object.__setattr__(self, "log", log)
+        object.__setattr__(self, "zech", zech)
+
+    def _poly_mul(self, x: GFElement, y: GFElement) -> GFElement:
+        # (x0 + x1 t)(y0 + y1 t) with t^2 = -(b t + c).
+        b, c = self.modulus
+        t2 = x[1] * y[1]
+        c0 = x[0] * y[0] - c * t2
+        c1 = x[0] * y[1] + x[1] * y[0] - b * t2
+        return (c0 % self.p, c1 % self.p)
+
+    def _poly_order(self, x: GFElement) -> int:
+        k, acc = 1, x
+        while acc != self.one:
+            acc = self._poly_mul(acc, x)
+            k += 1
+        return k
 
     @property
     def q(self) -> int:
@@ -81,34 +126,30 @@ class GFField:
         return self.add(x, self.neg(y))
 
     def mul(self, x: GFElement, y: GFElement) -> GFElement:
-        # (x0 + x1 t)(y0 + y1 t) with t^2 = -(b t + c).
-        b, c = self.modulus
-        t2 = x[1] * y[1]
-        c0 = x[0] * y[0] - c * t2
-        c1 = x[0] * y[1] + x[1] * y[0] - b * t2
-        return (c0 % self.p, c1 % self.p)
+        if x == self.zero or y == self.zero:
+            return self.zero
+        return self.exp[(self.log[x] + self.log[y]) % len(self.exp)]
 
     def pow(self, x: GFElement, k: int) -> GFElement:
-        if k < 0:
-            return self.pow(self.inverse(x), -k)
-        out, base = self.one, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        if x == self.zero:
+            if k < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return self.one if k == 0 else x
+        return self.exp[self.log[x] * k % len(self.exp)]
 
     def inverse(self, x: GFElement) -> GFElement:
         if x == self.zero:
             raise ZeroDivisionError("zero has no inverse")
-        return self.pow(x, self.order - 2)
+        return self.exp[-self.log[x] % len(self.exp)]
 
     def conj(self, x: GFElement) -> GFElement:
-        return self.pow(x, self.q)
+        if x == self.zero:
+            return x
+        return self.exp[self.log[x] * self.q % len(self.exp)]
 
     def is_fixed(self, x: GFElement) -> bool:
-        return self.conj(x) == x
+        # g^k is fixed by x -> x^q iff (q - 1) * k = 0 mod q^2 - 1.
+        return x == self.zero or self.log[x] % (self.q + 1) == 0
 
     def elements(self) -> list[GFElement]:
         return [(c0, c1) for c1 in range(self.p) for c0 in range(self.p)]
@@ -133,16 +174,20 @@ class GFField:
         return body
 
 
+def _check_q(q: int) -> None:
+    if not _is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if q > MAX_Q:
+        raise ValueError(f"q must be <= {MAX_Q}, got {q}")
+
+
 def gf_build(q: int) -> GFField:
     """F_{q^2} with the lexicographically smallest irreducible modulus.
 
     Moduli t^2 + b*t + c are ordered by (b, c); irreducible means no root
     in F_q.  For q = 2 this picks t^2+t+1, for q = 3 it picks t^2+1.
     """
-    if not _is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if q > MAX_Q:
-        raise ValueError(f"q must be <= {MAX_Q}, got {q}")
+    _check_q(q)
     for b in range(q):
         for c in range(q):
             if all((x * x + b * x + c) % q for x in range(q)):
@@ -184,48 +229,69 @@ class MonomialUnitaryScan:
 
 
 def _dense_monomial(
-    field: GFField, perm: tuple[int, ...], scalars: tuple[GFElement, ...]
-) -> list[list[GFElement]]:
+    perm: tuple[int, ...], exps: tuple[int, ...]
+) -> list[list[int | None]]:
+    """The dense matrix of logs, None marking the zero entries."""
     m = len(perm)
-    rows = [[field.zero] * m for _ in range(m)]
+    rows: list[list[int | None]] = [[None] * m for _ in range(m)]
     for j in range(m):
-        rows[perm[j]][j] = scalars[j]
+        rows[perm[j]][j] = exps[j]
     return rows
 
 
-def _is_dense_unitary(field: GFField, a: list[list[GFElement]]) -> bool:
+def _is_dense_unitary(field: GFField, a: list[list[int | None]]) -> bool:
     # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j], compared to identity.
+    # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
+    q, n, zech = field.q, len(field.exp), field.zech
     m = len(a)
     for i in range(m):
         for j in range(m):
-            total = field.zero
+            total = None
             for k in range(m):
-                total = field.add(total, field.mul(field.conj(a[k][i]), a[k][j]))
-            if total != (field.one if i == j else field.zero):
+                x, y = a[k][i], a[k][j]
+                if x is None or y is None:
+                    continue
+                term = (q * x + y) % n
+                if total is None:
+                    total = term
+                else:
+                    z = zech[(term - total) % n]
+                    total = None if z is None else (total + z) % n
+            if total != (0 if i == j else None):
                 return False
     return True
 
 
-def monomial_unitary_entries(q: int, m: int) -> MonomialUnitaryScan:
+def monomial_unitary_entries(
+    q: int, m: int, budget: int | None = None
+) -> MonomialUnitaryScan:
     """Scalars occurring in unitary monomial matrices over F_{q^2}.
 
-    Every (perm, scalars) candidate is materialized as a dense matrix and
-    tested via conjugate-transpose times itself, with no shortcut through
-    the scalar condition; the survivors' scalars form the group of
-    (q+1)-st roots of unity.
+    Every (perm, scalars) candidate is materialized as a dense matrix of
+    discrete logs and tested via conjugate-transpose times itself, summing
+    with the Zech table, with no shortcut through the scalar condition; the
+    survivors' scalars form the group of (q+1)-st roots of unity.  The
+    m! * (q^2 - 1)^m candidates are checked against the budget first.
     """
     if m < 1 or m > 4:
         raise ValueError(f"m must be in 1..4, got {m}")
+    _check_q(q)
+    n = q * q - 1
+    what = f"monomial matrices of size {m} over F_{q * q}"
+    check_budget(math.factorial(m) * n**m, budget, what=what)
     field = gf_build(q)
     count = 0
-    seen: set[GFElement] = set()
+    seen: set[int] = set()
     for perm in itertools.permutations(range(m)):
-        for scalars in itertools.product(field.units(), repeat=m):
-            if _is_dense_unitary(field, _dense_monomial(field, perm, scalars)):
+        for exps in itertools.product(range(n), repeat=m):
+            if _is_dense_unitary(field, _dense_monomial(perm, exps)):
                 count += 1
-                seen.update(scalars)
+                seen.update(exps)
     return MonomialUnitaryScan(
-        q=q, m=m, unitary_count=count, allowed_scalars=tuple(sorted(seen))
+        q=q,
+        m=m,
+        unitary_count=count,
+        allowed_scalars=tuple(sorted(field.exp[k] for k in seen)),
     )
 
 
@@ -330,25 +396,25 @@ class DictionaryTable:
         return out
 
 
-def dictionary_table(q: int) -> DictionaryTable:
+def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:
     """Instantiate the four-theory comparison at prime q and r = q - 1.
 
     The modal scalar group is measured by the dense monomial-unitary scan
     over F_{q^2}; the absolute scalar group is collected from the actual
     unitary group over the level-r(r+2) monoid field at m = 2.  The static
     complex and division-ring rows document the theories the finite rows
-    imitate.
+    imitate.  Both enumerations are checked against the budget first.
     """
+    scan = monomial_unitary_entries(q, m=2, budget=budget)
     field = gf_build(q)
     r = q - 1
     level = r * (r + 2)
-    scan = monomial_unitary_entries(q, m=2)
 
     sigma = classify_involution(level, r)
     if not sigma.valid:
         raise AssertionError(f"level {level} must admit the power-(r+1) involution")
     absolute_scalars = sorted(
-        {s.exp for u in unitary_group(2, r) for s in u.scalars}
+        {s.exp for u in unitary_group(2, r, budget=budget) for s in u.scalars}
     )
     fixed_sizes = (q, sigma.fixed_field_order + 1)
 

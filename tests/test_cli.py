@@ -5,9 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from f1q.cli import main
 
 BASE = [sys.executable, "-m", "f1q"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,6 +169,30 @@ def test_field_listings_respect_budget(args):
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["status"] == "budget-exceeded"
     assert run_cli(*args, "--json").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("field", "info", "--l", "10000"),
+        ("involutions", "--m", "10000"),
+        ("unitary-group", "--m", "8", "--r", "2"),
+        ("observables", "--m", "8", "--l", "2"),
+        ("noclone", "--m", "3", "--l", "2"),
+        ("delete", "build", "--m", "40", "--l", "2"),
+        ("delete", "verify", "--m", "40", "--l", "2"),
+        ("dictionary", "--q", "5"),
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_every_enumerating_command_respects_budget(args, monkeypatch, capsys):
+    monkeypatch.setenv("F1Q_BUDGET", "100")
+    start = time.perf_counter()
+    code = main([*args, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "budget-exceeded"
+    assert elapsed < 1
 
 
 def test_unitary_group_budget_counts_unitaries():

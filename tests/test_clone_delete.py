@@ -202,6 +202,16 @@ def test_deletion_audit_respects_budget():
     assert verify_deletion(4, 4, budget=156).total_rays == 156
 
 
+def test_deleter_dimension_respects_budget():
+    assert build_deletion_operator(40, 2, budget=1600).dim == 1600
+    with pytest.raises(BudgetExceededError):
+        build_deletion_operator(40, 2, budget=1599)
+    # at m=2, l=1 there are 3 rays but the deleter has dimension 4
+    with pytest.raises(BudgetExceededError):
+        verify_deletion(2, 1, budget=3)
+    assert verify_deletion(2, 1, budget=4).total_rays == 3
+
+
 @pytest.mark.parametrize("m,l", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)])
 def test_built_simple_cloner_clones_simple_rays(m, l):
     u, blank = build_simple_cloner(m, l)

@@ -1,9 +1,12 @@
 """State frames: partial forms, orthogonality, rays, tensor products."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from f1q.budget import BudgetExceededError
 from f1q.field import classify_involution, unit, zero
 from f1q.frames import (
     StateVector,
@@ -254,3 +257,44 @@ def test_enumeration_order_is_deterministic():
     assert [str(v) for v in enumerate_vectors(1, 2)] == ["(w^0)@2", "(w^1)@2"]
     first = enumerate_vectors(2, 2)[0]
     assert str(first) == "(0,w^0)@2"  # zero sorts before units
+
+
+def _all_vectors(m, l):
+    choices = [zero(l), *(unit(e, l) for e in range(l))]
+    return [StateVector(c) for c in itertools.product(choices, repeat=m)]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("l", range(1, 5))
+def test_enumerations_match_the_filters_they_replace(m, l):
+    everything = _all_vectors(m, l)
+    assert enumerate_vectors(m, l, include_zero=True) == everything
+    assert enumerate_vectors(m, l) == [v for v in everything if not v.is_zero]
+    assert [r.representative for r in enumerate_rays(m, l)] == [
+        v for v in everything if not v.is_zero and ray_of(v).representative == v
+    ]
+    for v in everything[1:]:
+        p = perp_space(v)
+        free = set(p.free_indices)
+        assert list(p.vectors()) == [w for w in everything if set(w.support()) <= free]
+
+
+def test_enumerations_check_the_budget_first():
+    # (2+1)^3 = 27 vectors, 13 rays; the perp space of e_0 holds 9 vectors
+    assert len(enumerate_vectors(3, 2, budget=27)) == 26
+    assert len(enumerate_rays(3, 2, budget=13)) == 13
+    p = perp_space(basis_state(0, 3, 2))
+    assert len(list(p.vectors(budget=9))) == 9
+    with pytest.raises(BudgetExceededError):
+        enumerate_vectors(3, 2, budget=26)
+    with pytest.raises(BudgetExceededError):
+        enumerate_rays(3, 2, budget=12)
+    with pytest.raises(BudgetExceededError):
+        p.vectors(budget=8)  # refused at call time, before iteration
+    # 10^30 candidates: refused at once under the default budget
+    with pytest.raises(BudgetExceededError):
+        enumerate_vectors(30, 9)
+    with pytest.raises(BudgetExceededError):
+        enumerate_rays(30, 9)
+    with pytest.raises(BudgetExceededError):
+        perp_space(basis_state(0, 31, 9)).vectors()

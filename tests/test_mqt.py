@@ -1,12 +1,15 @@
 """Quadratic extension fields, Hermitian forms, and the comparison table."""
 
+import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f1q.budget import BudgetExceededError
 from f1q.mqt import (
     born_value,
     dictionary_table,
@@ -243,3 +246,127 @@ def test_dictionary_serializations():
     rows = table.csv_rows()
     assert rows[0][0] == "theory"
     assert len(rows) == 5
+
+
+# Coefficient arithmetic, independent of the field's log tables: the oracle
+# for the table operations and for the log-domain unitarity scan.
+
+
+def _poly_mul(f, x, y):
+    b, c = f.modulus
+    t2 = x[1] * y[1]
+    return ((x[0] * y[0] - c * t2) % f.p, (x[0] * y[1] + x[1] * y[0] - b * t2) % f.p)
+
+
+def _poly_pow(f, x, k):
+    out = (1, 0)
+    for _ in range(k):
+        out = _poly_mul(f, out, x)
+    return out
+
+
+def _poly_order(f, x):
+    k, acc = 1, x
+    while acc != (1, 0):
+        acc, k = _poly_mul(f, acc, x), k + 1
+    return k
+
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_table_arithmetic_matches_polynomials(q):
+    f = gf_build(q)
+    elems = f.elements()
+    for x in elems:
+        for y in elems:
+            assert f.mul(x, y) == _poly_mul(f, x, y)
+        assert f.conj(x) == _poly_pow(f, x, q)
+        for k in range(q + 3):
+            assert f.pow(x, k) == _poly_pow(f, x, k)
+        if x != f.zero:
+            inv = next(y for y in elems if _poly_mul(f, x, y) == (1, 0))
+            assert f.inverse(x) == inv
+            assert f.pow(x, -2) == _poly_mul(f, inv, inv)
+    assert f.is_fixed(f.zero)
+    assert [x for x in elems if f.is_fixed(x)] == [x for x in elems if _poly_pow(f, x, q) == x]
+    with pytest.raises(ZeroDivisionError):
+        f.inverse(f.zero)
+    with pytest.raises(ZeroDivisionError):
+        f.pow(f.zero, -1)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_log_tables(q):
+    f = gf_build(q)
+    n = q * q - 1
+    g = f.exp[1]
+    assert _poly_order(f, g) == n
+    # g is the first unit of full order, in units() order
+    assert g == next(x for x in f.units() if _poly_order(f, x) == n)
+    assert len(f.exp) == n and sorted(f.exp) == sorted(f.units())
+    assert all(f.log[x] == k for k, x in enumerate(f.exp))
+    for k in range(n):
+        total = f.add(f.one, f.exp[k])
+        if f.zech[k] is None:
+            assert total == f.zero
+        else:
+            assert f.exp[f.zech[k]] == total
+    # 1 + g^k = 0 exactly once: g^k = -1
+    assert sum(z is None for z in f.zech) == 1
+
+
+def _poly_dense_scan(q, m):
+    """Dense scan in coefficient arithmetic, every candidate over F_{q^2}."""
+    f = gf_build(q)
+    units = [x for x in f.elements() if x != (0, 0)]
+    count, seen = 0, set()
+    for perm in itertools.permutations(range(m)):
+        for scalars in itertools.product(units, repeat=m):
+            a = [[(0, 0)] * m for _ in range(m)]
+            for j in range(m):
+                a[perm[j]][j] = scalars[j]
+            ok = True
+            for i in range(m):
+                for j in range(m):
+                    total = (0, 0)
+                    for k in range(m):
+                        term = _poly_mul(f, _poly_pow(f, a[k][i], q), a[k][j])
+                        total = f.add(total, term)
+                    ok = ok and total == ((1, 0) if i == j else (0, 0))
+            if ok:
+                count += 1
+                seen.update(scalars)
+    return count, tuple(sorted(seen))
+
+
+@pytest.mark.parametrize(
+    "q, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
+)
+def test_log_scan_matches_coefficient_scan(q, m):
+    scan = monomial_unitary_entries(q, m)
+    count, scalars = _poly_dense_scan(q, m)
+    assert (scan.q, scan.m) == (q, m)
+    assert scan.unitary_count == count == math.factorial(m) * (q + 1) ** m
+    assert scan.allowed_scalars == scalars
+
+
+def test_scan_budget_is_checked_first():
+    # 2! * 24^2 = 1152 candidates at q = 5
+    assert monomial_unitary_entries(5, 2, budget=1152).unitary_count == 72
+    with pytest.raises(BudgetExceededError):
+        monomial_unitary_entries(5, 2, budget=1151)
+    # 4! * 168^4 = 1.9e10 candidates: refused before any field is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        monomial_unitary_entries(13, 4)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        monomial_unitary_entries(4, 2, budget=1)  # q is checked before the budget
+
+
+def test_dictionary_budget():
+    with pytest.raises(BudgetExceededError):
+        dictionary_table(5, budget=1151)
+    assert dictionary_table(5, budget=1152).aligned
