@@ -47,16 +47,23 @@ EXIT_INVARIANT = 4
 CSV_COMMANDS = {"dictionary", "delete prob"}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON payload")
     parser.add_argument(
         "--csv", action="store_true", help="emit CSV (dictionary and delete prob only)"
     )
     parser.add_argument(
-        "--budget", type=int, default=None, help="max enumeration size"
+        "--budget", type=_positive_int, default=None, help="max enumeration size"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel workers for searches"
+        "--workers", type=_positive_int, default=1, help="parallel workers for searches"
     )
 
 

@@ -16,13 +16,12 @@ simply is not a ray.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import check_budget
-from .field import F1Element, InvolutionSpec, one, units
+from .field import F1Element, InvolutionSpec, check_conjugation, one, units
 from .frames import (
     ProjectiveRay,
     StateVector,
@@ -37,9 +36,10 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
+    _as_subunital,
+    _norm_exponent,
     _unitary_slice,
     enumerate_subunital,
-    is_unitary,
     iter_unitaries,
     unitary_order,
 )
@@ -278,38 +278,33 @@ def nonsimple_defeats_cloner(m: int, l: int) -> NonSimpleObstruction:
     )
 
 
-def is_almost_unitary(
-    a: AnyMatrix,
-    sigma: InvolutionSpec | None = None,
-    *,
-    bound: int = 12,
-    fast_path: bool = True,
-) -> bool:
+def is_almost_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
     """Whether every nonsingular principal submatrix of A is unitary.
 
-    Principal means rows and columns are deleted with the same index set.  A
-    nonsingular matrix is almost unitary iff it is unitary.  The subset scan
-    is 2^dim, so it is capped at ``bound``; diagonal matrices (the deletion
-    operator's shape) take a structural shortcut instead, since each of
-    their nonsingular principal submatrices is again diagonal and unitarity
-    reduces to the per-entry scalar condition.
+    Principal means rows and columns are deleted with the same index set.
+    Read A as the partial map column -> row: a principal submatrix is
+    nonsingular exactly when its index set is a union of cycles of that map,
+    and it is then unitary exactly when each of its columns passes the
+    per-column test of ``is_unitary``.  So A is almost unitary exactly when
+    every cell on a cycle passes that test; cells on open paths are free, and
+    a fixed point (i, i) is a 1-cycle.
     """
-    sub = a.to_subunital() if isinstance(a, MonomialMatrix) else a
-    if fast_path and sub.is_diagonal:
-        target = one(sub.order)
-        return all(
-            ((sigma(s) if sigma else s) * s) == target for _, _, s in sub.cells
-        )
-    if sub.dim > bound:
-        raise ValueError(
-            f"principal-subset scan capped at dimension {bound}; "
-            "only diagonal matrices have a fast path beyond it"
-        )
-    for k in range(1, sub.dim + 1):
-        for subset in itertools.combinations(range(sub.dim), k):
-            block = sub.principal_submatrix(subset)
-            if block.is_monomial and not is_unitary(block.to_monomial(), sigma):
-                return False
+    sub = _as_subunital(a)
+    l = sub.order
+    check_conjugation(sigma, l)
+    d = _norm_exponent(sigma)
+    step = {j: (i, s) for i, j, s in sub.cells}
+    seen = set()
+    for start in step:
+        # The map is injective, so a walk can close a cycle only at its
+        # start, and a walk that runs into an earlier one is on no cycle.
+        j, walk = start, []
+        while j in step and j not in seen:
+            seen.add(j)
+            j, scalar = step[j]
+            walk.append(scalar.exp)
+        if j == start and any(d * e % l for e in walk):
+            return False
     return True
 
 

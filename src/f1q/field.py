@@ -17,24 +17,18 @@ from math import gcd
 
 __all__ = [
     "F1Element",
-    "FrobeniusMap",
     "InvolutionSpec",
     "zero",
     "one",
     "unit",
     "units",
     "elements",
-    "multiply",
     "frobenius",
-    "embed",
     "parse_element",
     "totient",
     "automorphism_group",
-    "automorphism_group_brute_force",
-    "brute_force_exponents",
     "classify_involution",
     "check_conjugation",
-    "involution_brute_force",
 ]
 
 _SCALAR_RE = re.compile(r"^(0|w\^-?\d+)$")
@@ -183,11 +177,6 @@ def elements(l: int) -> list[F1Element]:
     return [zero(l), *units(l)]
 
 
-def multiply(x: F1Element, y: F1Element) -> F1Element:
-    """Zero-absorbing commutative product; units form the cyclic group mu_l."""
-    return x * y
-
-
 def frobenius(d: int, x: F1Element) -> F1Element:
     """The power map u -> u^d.
 
@@ -199,20 +188,6 @@ def frobenius(d: int, x: F1Element) -> F1Element:
     return x**d
 
 
-def embed(x: F1Element, target_level: int) -> F1Element:
-    """Explicit subfield embedding, scaling exponents by target/source.
-
-    Requires the source level to divide the target level; there is no
-    implicit coercion anywhere else, which keeps exponent arithmetic from
-    silently aliasing across levels.
-    """
-    if target_level % x.order != 0:
-        raise ValueError(f"level {x.order} does not embed into level {target_level}")
-    if x.exp is None:
-        return zero(target_level)
-    return F1Element(target_level, x.exp * (target_level // x.order))
-
-
 def parse_element(token: str, l: int) -> F1Element:
     """Parse a scalar token, ``0`` or ``w^k``, at level l."""
     token = token.strip()
@@ -221,27 +196,6 @@ def parse_element(token: str, l: int) -> F1Element:
     if token == "0":
         return zero(l)
     return unit(int(token[2:]), l)
-
-
-@dataclass(frozen=True)
-class FrobeniusMap:
-    """The named power map u -> u^degree on a fixed level."""
-
-    degree: int
-    source_level: int
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("frobenius degree must be >= 1")
-        if self.source_level < 1:
-            raise ValueError("source level must be >= 1")
-
-    def __call__(self, x: F1Element) -> F1Element:
-        if x.order != self.source_level:
-            raise ValueError(
-                f"map is defined at level {self.source_level}, got level {x.order}"
-            )
-        return x**self.degree
 
 
 def totient(l: int) -> int:
@@ -259,74 +213,6 @@ def automorphism_group(l: int) -> list[int]:
     if l < 1:
         raise ValueError("level must be >= 1")
     return [d for d in range(1, l + 1) if gcd(d, l) == 1]
-
-
-def automorphism_group_brute_force(l: int, *, bound: int = 16) -> list[tuple[int, ...]]:
-    """Every multiplication-preserving permutation of {0} | mu_l.
-
-    Backtracking over all permutations of the l + 1 elements, pruning partial
-    assignments as soon as a fully-assigned product triple breaks
-    phi(a*b) = phi(a)*phi(b).  Deliberately independent of the gcd
-    characterization in :func:`automorphism_group` so the two can be cross
-    checked; elements are coded 0 for zero and 1 + e for the unit w^e, and
-    each result is the tuple of image codes.
-    """
-    if l > bound:
-        raise ValueError(f"brute-force automorphism search capped at level {bound}")
-    n = l + 1
-
-    def code_mul(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return 1 + (a - 1 + b - 1) % l
-
-    table = [[code_mul(a, b) for b in range(n)] for a in range(n)]
-    images = [-1] * n
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
-
-    def consistent() -> bool:
-        for a in range(n):
-            fa = images[a]
-            if fa < 0:
-                continue
-            for b in range(n):
-                fb = images[b]
-                if fb < 0:
-                    continue
-                fp = images[table[a][b]]
-                if fp >= 0 and fp != table[fa][fb]:
-                    return False
-        return True
-
-    def extend(pos: int) -> None:
-        if pos == n:
-            found.append(tuple(images))
-            return
-        for cand in range(n):
-            if used[cand]:
-                continue
-            images[pos] = cand
-            used[cand] = True
-            if consistent():
-                extend(pos + 1)
-            images[pos] = -1
-            used[cand] = False
-
-    extend(0)
-    return found
-
-
-def brute_force_exponents(l: int, *, bound: int = 16) -> list[int]:
-    """Reduce each brute-force automorphism to the exponent d it realizes."""
-    exps = []
-    for images in automorphism_group_brute_force(l, bound=bound):
-        if l == 1:
-            exps.append(1)
-            continue
-        d = images[2] - 1  # image code of the generator w^1
-        exps.append(l if d == 0 else d)  # canonical representative in [1, l]
-    return sorted(exps)
 
 
 @dataclass(frozen=True)
@@ -383,27 +269,3 @@ def check_conjugation(sigma: InvolutionSpec | None, level: int) -> None:
         raise ValueError(
             f"involution lives at level {sigma.m}, cannot act at level {level}"
         )
-
-
-def involution_brute_force(m: int, r: int, *, bound: int = 64) -> bool:
-    """Element-by-element oracle for :func:`classify_involution`.
-
-    Checks directly on all m + 1 elements that v -> v^(r+1) is a bijective
-    multiplicative map whose square is the identity and which is not the
-    identity.
-    """
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be >= 1")
-    if m > bound:
-        raise ValueError(f"brute-force involution check capped at level {bound}")
-    elems = elements(m)
-    image = {x: x ** (r + 1) for x in elems}
-    if len(set(image.values())) != len(elems):
-        return False
-    for x in elems:
-        for y in elems:
-            if image[x * y] != image[x] * image[y]:
-                return False
-    if any(image[image[x]] != x for x in elems):
-        return False
-    return any(image[x] != x for x in elems)

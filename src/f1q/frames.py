@@ -8,8 +8,8 @@ summand is nonzero, and that partiality is modelled as an explicit
 total predicate.
 
 Tensor products are row-major: entry (i, j) of x (x) y lands at flat index
-i * dim(y) + j.  Every index convention downstream (operator Kronecker
-products, the deletion operator's kept positions) assumes this flattening.
+i * dim(y) + j.  Every index convention downstream (the cloner's pins,
+the deletion operator's kept positions) assumes this flattening.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ __all__ = [
     "PerpSpace",
     "ProjectiveRay",
     "state",
-    "zero_state",
     "basis_state",
     "parse_state",
     "standard_form",
     "orthogonal",
     "perp_space",
     "ray_of",
-    "rays_equal",
     "enumerate_vectors",
     "enumerate_rays",
     "simple_rays",
@@ -120,10 +118,6 @@ class StateVector:
 def state(exps: Sequence[int | None], l: int) -> StateVector:
     """Build a vector from exponents, with None marking zero entries."""
     return StateVector(tuple(zero(l) if e is None else unit(e, l) for e in exps))
-
-
-def zero_state(m: int, l: int) -> StateVector:
-    return StateVector(tuple(zero(l) for _ in range(m)))
 
 
 def basis_state(i: int, m: int, l: int, exp: int = 0) -> StateVector:
@@ -306,10 +300,6 @@ def ray_of(x: StateVector) -> ProjectiveRay:
     if lead:
         x = x.scale(interned(x.order)[-lead % x.order])
     return ProjectiveRay(x)
-
-
-def rays_equal(p: ProjectiveRay, q: ProjectiveRay) -> bool:
-    return p == q
 
 
 def _entry_choices(l: int) -> list[F1Element]:

@@ -36,7 +36,6 @@ __all__ = [
     "MonomialMatrix",
     "SubunitalMatrix",
     "AnyMatrix",
-    "apply",
     "enumerate_GL",
     "gl_order",
     "is_unitary",
@@ -44,7 +43,6 @@ __all__ = [
     "iter_unitaries",
     "unitary_group",
     "is_observable",
-    "kronecker",
     "enumerate_subunital",
     "subunital_count",
     "format_matrix",
@@ -173,6 +171,8 @@ class SubunitalMatrix:
     cells: tuple[tuple[int, int, F1Element], ...]
 
     def __post_init__(self) -> None:
+        if self.dim < 1 or self.order < 1:
+            raise ValueError(f"need dim and level >= 1, got {self.dim}@{self.order}")
         cells = tuple(sorted(self.cells, key=lambda c: (c[0], c[1])))
         rows = [c[0] for c in cells]
         cols = [c[1] for c in cells]
@@ -220,28 +220,11 @@ class SubunitalMatrix:
             scalars[j] = s
         return MonomialMatrix(self.order, tuple(perm), tuple(scalars))
 
-    def principal_submatrix(self, indices: Sequence[int]) -> "SubunitalMatrix":
-        """Keep the rows and columns with the same index set, reindexed."""
-        idx = sorted(set(indices))
-        where = {g: k for k, g in enumerate(idx)}
-        cells = tuple(
-            (where[i], where[j], s) for i, j, s in self.cells if i in where and j in where
-        )
-        return SubunitalMatrix(len(idx), self.order, cells)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(i == j for i, j, _ in self.cells)
-
     def __str__(self) -> str:
         return format_matrix(self)
 
 
 AnyMatrix = Union[MonomialMatrix, SubunitalMatrix]
-
-
-def apply(a: AnyMatrix, x: StateVector) -> StateVector:
-    return a.apply(x)
 
 
 def gl_order(m: int, l: int) -> int:
@@ -353,20 +336,6 @@ def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
         h = h.to_monomial()
     check_conjugation(sigma, h.order)
     return h == h.transpose().conj(sigma)
-
-
-def kronecker(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
-    """Row-major Kronecker product, so (A (x) B)(x (x) y) = Ax (x) By."""
-    if a.order != b.order:
-        raise ValueError("level mismatch")
-    n = b.dim
-    perm = []
-    scalars = []
-    for ja in range(a.dim):
-        for jb in range(n):
-            perm.append(a.perm[ja] * n + b.perm[jb])
-            scalars.append(a.scalars[ja] * b.scalars[jb])
-    return MonomialMatrix(a.order, tuple(perm), tuple(scalars))
 
 
 def subunital_count(dim: int, l: int) -> int:

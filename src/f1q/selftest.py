@@ -30,22 +30,23 @@ from .clone_delete import (
     search_projective_cloner,
     verify_deletion,
 )
-from .field import (
-    automorphism_group,
-    brute_force_exponents,
-    classify_involution,
-    involution_brute_force,
-    totient,
-)
+from .field import automorphism_group, classify_involution, totient
 from .frames import simple_rays
 from .mqt import born_value, dictionary_table, gf_build, monomial_unitary_entries
 from .operators import (
     MonomialMatrix,
     enumerate_GL,
+    enumerate_subunital,
     gl_order,
     is_observable,
     is_unitary,
     unitary_group,
+)
+from .oracles import (
+    brute_force_exponents,
+    involution_brute_force,
+    principal_subset_scan,
+    product_rule_unitaries,
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
@@ -95,10 +96,7 @@ def _automorphism_group() -> tuple[bool, str]:
 def _unitary_groups() -> tuple[bool, str]:
     for m, r in ((2, 1), (3, 1), (2, 2)):
         l = r * (r + 2)
-        sigma = classify_involution(l, r)
-        eye = MonomialMatrix.identity(m, l)
-        # the product rule sigma(A^T) A = I over all of GL is the oracle
-        want = [a for a in enumerate_GL(m, l) if a.transpose().conj(sigma) @ a == eye]
+        want = product_rule_unitaries(m, l, classify_involution(l, r))
         if unitary_group(m, r) != want:
             return False, f"U({m}, r={r}) differs from the product-rule filter of GL"
         if len(want) != (r + 2) ** m * math.factorial(m):
@@ -155,8 +153,11 @@ def _deletion() -> tuple[bool, str]:
             op = build_deletion_operator(m, l)
             if not is_almost_unitary(op):
                 return False, f"deleter not almost unitary at m={m}, l={l}"
-            if m * m <= 12 and not is_almost_unitary(op, fast_path=False):
+            if not principal_subset_scan(op):
                 return False, f"subset-scan disagreement at m={m}, l={l}"
+    for a in enumerate_subunital(3, 3):
+        if is_almost_unitary(a) != principal_subset_scan(a):
+            return False, f"cycle rule and subset scan disagree on {str(a)!r}"
     for m in range(1, 5):
         for l in range(1, 5):
             report = verify_deletion(m, l)
@@ -167,7 +168,8 @@ def _deletion() -> tuple[bool, str]:
     if abs(probability_a1(1000, 2) - Fraction(2, 3)) >= Fraction(1, 10**6):
         return False, "limit value at m=1000, l=2 not within 1e-6 of 2/3"
     return True, (
-        "almost unitary for m, l <= 3 (both scan paths); per-ray audit matches "
+        "almost unitary for m, l <= 3 (cycle rule and subset scan); the rule "
+        "equals the scan on every 3x3 subunital at level 3; per-ray audit matches "
         "the closed form for m, l <= 4; P(2,2) = 3/4; m=1000 within 1e-6 of 2/3"
     )
 

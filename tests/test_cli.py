@@ -137,6 +137,17 @@ def test_usage_errors_exit_2():
     )
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--budget", "-5"), ("--budget", "0"), ("--workers", "-3"), ("--workers", "0")]
+)
+def test_budget_and_workers_below_one_exit_2(flag, value, capsys):
+    # the same rule as F1Q_BUDGET: a count below 1 is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["noclone", "--m", "2", "--l", "2", flag, value, "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_budget_exceeded_exit_3():
     proc = run_cli("noclone", "--m", "2", "--l", "2", "--budget", "10", "--json")
     assert proc.returncode == 3

@@ -37,10 +37,10 @@ from f1q.frames import (
 from f1q.operators import (
     MonomialMatrix,
     SubunitalMatrix,
-    enumerate_GL,
     enumerate_subunital,
     is_unitary,
 )
+from f1q.oracles import principal_subset_scan, product_rule_unitaries
 
 
 def _ray(exps, l):
@@ -53,12 +53,13 @@ def _tensor(x, y, l):
     return [None if a is None or b is None else (a + b) % l for a in x for b in y]
 
 
-@lru_cache(maxsize=None)
-def product_rule_unitaries(n, l, r):
-    """The filter of all of GL(n) by the product rule sigma(A^T) A = I."""
-    sigma = None if r is None else classify_involution(l, r)
-    eye = MonomialMatrix.identity(n, l)
-    return [a for a in enumerate_GL(n, l) if a.transpose().conj(sigma) @ a == eye]
+def conjugations(l):
+    """The identity conjugation (None) and every valid involution at level l."""
+    specs = (classify_involution(l, r) for r in range(1, l + 1))
+    return [None] + [sigma for sigma in specs if sigma.valid]
+
+
+cached_product_rule_unitaries = lru_cache(maxsize=None)(product_rule_unitaries)
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +70,8 @@ def brute_force_search(m, l, r, scope):
     redone in plain exponent arithmetic.
     """
     n = m * m
-    unitaries = product_rule_unitaries(n, l, r)
+    sigma = None if r is None else classify_involution(l, r)
+    unitaries = cached_product_rule_unitaries(n, l, sigma)
     blanks = enumerate_vectors(m, l)
     targets = enumerate_rays(m, l) if scope == "all" else simple_rays(m, l)
     reps = [[x.exp for x in phi.representative] for phi in targets]
@@ -109,10 +111,10 @@ def brute_force_search(m, l, r, scope):
 
 
 SEARCH_CASES = [
-    (m, l, r)
+    (m, l, None if sigma is None else sigma.r)
     for m in (1, 2)
     for l in range(1, 6)
-    for r in [None] + [r for r in range(1, l + 1) if classify_involution(l, r).valid]
+    for sigma in conjugations(l)
 ]
 
 
@@ -245,9 +247,10 @@ def test_nonsimple_obstruction_needs_dimension_two():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_deletion_operator_is_almost_unitary_both_paths(m, l):
+    # the cycle rule and the principal-subset scan
     op = build_deletion_operator(m, l)
     assert is_almost_unitary(op)
-    assert is_almost_unitary(op, fast_path=False)
+    assert principal_subset_scan(op)
 
 
 def test_deletion_operator_layout():
@@ -351,17 +354,32 @@ def test_almost_unitary_of_nonsingular_is_unitarity():
     assert not is_almost_unitary(d)
 
 
-@pytest.mark.parametrize("d,l", [(2, 2), (3, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "d,l", [(d, l) for d in range(1, 4) for l in range(1, 9)] + [(4, l) for l in range(1, 4)]
+)
 def test_almost_unitary_fast_path_matches_subset_scan(d, l):
+    # the cycle rule against the definition, on every subunital matrix
+    sigmas = conjugations(l)
     for a in enumerate_subunital(d, l):
-        assert is_almost_unitary(a) == is_almost_unitary(a, fast_path=False)
+        for sigma in sigmas:
+            assert is_almost_unitary(a, sigma) == principal_subset_scan(a, sigma)
 
 
 def test_almost_unitary_dimension_cap():
-    big = build_deletion_operator(4, 2)  # dim 16 > 12
-    assert is_almost_unitary(big)  # diagonal fast path has no cap
-    with pytest.raises(ValueError):
-        is_almost_unitary(big, fast_path=False)
+    # no cap: the rule walks the cells once, whatever the dimension
+    assert is_almost_unitary(build_deletion_operator(4, 2))  # dim 16
+    assert is_almost_unitary(SubunitalMatrix(13, 2, ((0, 1, one(2)),)))
+    # a 13-cycle with one non-unitary scalar at level 4 fails; opened, it passes
+    cycle = [((j + 1) % 13, j, unit(1 if j == 5 else 0, 4)) for j in range(13)]
+    assert not is_almost_unitary(SubunitalMatrix(13, 4, tuple(cycle)))
+    assert is_almost_unitary(SubunitalMatrix(13, 4, tuple(cycle[:-1])))
+
+
+def test_almost_unitary_rejects_invalid_conjugation():
+    with pytest.raises(ValueError):  # v -> v^2 is no involution at level 4
+        is_almost_unitary(build_deletion_operator(2, 4), classify_involution(4, 1))
+    with pytest.raises(ValueError):  # an involution of level 8 at level 4
+        is_almost_unitary(SubunitalMatrix(2, 4, ()), classify_involution(8, 2))
 
 
 def test_almost_unitary_strictly_weaker_than_unitary():

@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 from f1q.field import (
     F1Element,
-    FrobeniusMap,
     automorphism_group,
-    brute_force_exponents,
     classify_involution,
     elements,
-    embed,
     frobenius,
     interned,
-    involution_brute_force,
-    multiply,
     one,
     parse_element,
     totient,
@@ -27,6 +22,7 @@ from f1q.field import (
     zero,
 )
 from f1q.frames import StateVector, parse_state, tensor
+from f1q.oracles import brute_force_exponents, involution_brute_force
 
 levels = st.integers(min_value=1, max_value=24)
 exponents = st.integers(min_value=-100, max_value=100)
@@ -68,7 +64,7 @@ def test_multiply_requires_matching_levels(x, y):
         assert (x * y).order == x.order
     else:
         with pytest.raises(ValueError):
-            multiply(x, y)
+            x * y
 
 
 @given(st.integers(min_value=1, max_value=24), exponents, exponents)
@@ -111,30 +107,6 @@ def test_frobenius_composes_multiplicatively(d1, d2, x):
 def test_frobenius_is_multiplicative(d, l, a, b):
     x, y = unit(a, l), unit(b, l)
     assert frobenius(d, x * y) == frobenius(d, x) * frobenius(d, y)
-
-
-def test_frobenius_map_object():
-    f = FrobeniusMap(degree=3, source_level=6)
-    assert f(unit(1, 6)) == unit(3, 6)
-    assert f(zero(6)) == zero(6)
-    with pytest.raises(ValueError):
-        FrobeniusMap(degree=0, source_level=6)
-
-
-def test_embed_scales_exponents():
-    # mu_3 inside mu_6: w -> w^2
-    assert embed(unit(1, 3), 6) == unit(2, 6)
-    assert embed(zero(3), 6) == zero(6)
-    assert embed(one(3), 6) == one(6)
-    with pytest.raises(ValueError):
-        embed(unit(1, 4), 6)  # 4 does not divide 6
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=5), exponents, exponents)
-def test_embed_is_multiplicative(base, k, a, b):
-    target = base * k
-    x, y = unit(a, base), unit(b, base)
-    assert embed(x * y, target) == embed(x, target) * embed(y, target)
 
 
 @given(level_elements())

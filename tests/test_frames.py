@@ -18,12 +18,10 @@ from f1q.frames import (
     perp_space,
     ray_count,
     ray_of,
-    rays_equal,
     simple_rays,
     standard_form,
     state,
     tensor,
-    zero_state,
 )
 
 levels = st.integers(min_value=1, max_value=6)
@@ -71,7 +69,7 @@ def test_state_rejects_mixed_levels():
 
 
 def test_zero_and_basis_states():
-    assert zero_state(3, 2).is_zero
+    assert state([None] * 3, 2).is_zero
     e1 = basis_state(1, 3, 2)
     assert e1.support() == (1,)
     assert e1.is_simple
@@ -89,6 +87,22 @@ def test_parse_rejects_garbage():
     for bad in ("", "()@2", "(w^0,0)", "(w^0;0)@2", "w^0,0@2", "(w^0,0)@0"):
         with pytest.raises(ValueError):
             parse_state(bad)
+
+
+numerals = st.integers(min_value=-2, max_value=14).map(str)
+tokens = st.one_of(st.just("0"), numerals.map("w^{}".format), st.text(max_size=3))
+state_texts = st.builds(
+    lambda entries, l: "(" + ",".join(entries) + f")@{l}", st.lists(tokens), numerals
+)
+
+
+@given(st.one_of(st.text(), state_texts))
+def test_parse_state_raises_only_value_error(text):
+    try:
+        s = parse_state(text)
+    except ValueError:
+        return
+    assert parse_state(str(s)) == s
 
 
 @given(states())
@@ -169,7 +183,7 @@ def test_perp_space():
 
 def test_perp_of_zero_vector_rejected():
     with pytest.raises(ValueError):
-        perp_space(zero_state(3, 2))
+        perp_space(state([None] * 3, 2))
 
 
 @given(states())
@@ -181,8 +195,8 @@ def test_perp_dimension_complements_support(s):
 def test_ray_canonicalization():
     r = ray_of(state([1, 1], 2))
     assert str(r.representative) == "(w^0,w^0)@2"
-    assert rays_equal(r, ray_of(state([0, 0], 2)))
-    assert not rays_equal(r, ray_of(state([0, 1], 2)))
+    assert r == ray_of(state([0, 0], 2))
+    assert r != ray_of(state([0, 1], 2))
 
 
 @given(states())
@@ -194,7 +208,7 @@ def test_rays_ignore_global_scaling(s):
 
 def test_ray_of_zero_rejected():
     with pytest.raises(ValueError):
-        ray_of(zero_state(2, 2))
+        ray_of(state([None] * 2, 2))
 
 
 def test_vector_enumeration_counts():

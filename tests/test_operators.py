@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from f1q.budget import BudgetExceededError
 from f1q.field import classify_involution, one, unit, zero
-from f1q.frames import basis_state, enumerate_vectors, state, tensor
+from f1q.frames import enumerate_vectors, state
 from f1q.operators import (
     MonomialMatrix,
     SubunitalMatrix,
@@ -20,7 +20,6 @@ from f1q.operators import (
     is_unitary,
     _unitary_slice,
     iter_unitaries,
-    kronecker,
     matrix_from_json,
     matrix_to_json,
     parse_matrix,
@@ -28,6 +27,7 @@ from f1q.operators import (
     unitary_group,
     unitary_order,
 )
+from f1q.oracles import principal_submatrix
 
 
 def conjugations(l):
@@ -83,6 +83,15 @@ def test_matrix_validation():
         MonomialMatrix(2, (0, 1), (one(3), one(2)))  # level mismatch
     with pytest.raises(ValueError):
         SubunitalMatrix(2, 2, ((0, 0, one(2)), (0, 1, one(2))))  # row reused
+    for dim in (0, -1):  # no dimension below 1, however it arrives
+        with pytest.raises(ValueError):
+            SubunitalMatrix(dim, 2, ())
+        with pytest.raises(ValueError):
+            parse_matrix(f"{dim}@2")
+        with pytest.raises(ValueError):
+            matrix_from_json({"dim": dim, "l": 2, "entries": []})
+    with pytest.raises(ValueError):
+        parse_matrix("1@0")  # nor a level below 1
 
 
 def test_entry_layout():
@@ -275,26 +284,6 @@ def test_observable_with_involution():
     assert is_observable(MonomialMatrix.identity(2, 3), sigma)
 
 
-@given(monomial_pairs(max_dim=3, max_level=4))
-def test_kronecker_matches_tensor_application(pair):
-    a, b = pair
-    k = kronecker(a, b)
-    xs = enumerate_vectors(a.dim, a.order)[:4]
-    ys = enumerate_vectors(b.dim, b.order)[:4]
-    for x in xs:
-        for y in ys:
-            assert k.apply(tensor(x, y)) == tensor(a.apply(x), b.apply(y))
-
-
-def test_kronecker_entry_layout():
-    a = MonomialMatrix.swap(2)
-    b = MonomialMatrix.identity(2, 2)
-    k = kronecker(a, b)
-    # basis column (i, j) lands in row (a(i), b(j)) under row-major flattening
-    e01 = tensor(basis_state(0, 2, 2), basis_state(1, 2, 2))
-    assert k.apply(e01) == tensor(basis_state(1, 2, 2), basis_state(1, 2, 2))
-
-
 @pytest.mark.parametrize("d,l", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
 def test_subunital_enumeration_count(d, l):
     all_matrices = enumerate_subunital(d, l)
@@ -321,17 +310,38 @@ def test_subunital_monomial_round_trip(a):
 
 def test_principal_submatrix_reindexes():
     a = SubunitalMatrix(3, 2, ((0, 1, one(2)), (2, 2, unit(1, 2))))
-    b = a.principal_submatrix((0, 2))
+    b = principal_submatrix(a, (0, 2))
     assert b.dim == 2
     assert b.cells == ((1, 1, unit(1, 2)),)  # the (2,2) cell, reindexed
-    c = a.principal_submatrix((1, 2))
+    c = principal_submatrix(a, (1, 2))
     assert c.cells == ((1, 1, unit(1, 2)),)
 
 
-@given(monomials())
+@given(st.one_of(monomials(), subunitals()))
 def test_text_format_round_trips(a):
-    parsed = parse_matrix(format_matrix(a))
-    assert parsed == a.to_subunital()
+    sub = a.to_subunital() if isinstance(a, MonomialMatrix) else a
+    assert parse_matrix(format_matrix(a)) == sub
+    assert parse_matrix(str(sub)) == sub
+
+
+numerals = st.integers(min_value=-2, max_value=14).map(str)
+tokens = st.one_of(st.just("0"), numerals.map("w^{}".format), st.text(max_size=3))
+matrix_texts = st.builds(
+    lambda dim, l, cells: "\n".join([f"{dim}@{l}", *map(" ".join, cells)]),
+    numerals,
+    numerals,
+    st.lists(st.tuples(numerals, numerals, tokens), max_size=4),
+)
+
+
+@given(st.one_of(st.text(), matrix_texts))
+def test_parse_matrix_raises_only_value_error(text):
+    try:
+        a = parse_matrix(text)
+    except ValueError:
+        return
+    assert a.dim >= 1 and a.order >= 1
+    assert parse_matrix(format_matrix(a)) == a
 
 
 @given(subunitals())
