@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable
 
 from .budget import BudgetExceededError, check_budget
 from .clone_delete import (
@@ -44,7 +45,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
-CSV_COMMANDS = {"dictionary", "delete prob"}
+# What a handler returns: the JSON payload, the text rendering, the exit
+# code, and the CSV rows (None for a subcommand without --csv).
+Result = tuple[dict, str, int, list[list[str]] | None]
 
 
 def _positive_int(text: str) -> int:
@@ -54,17 +57,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit JSON payload")
-    parser.add_argument(
-        "--csv", action="store_true", help="emit CSV (dictionary and delete prob only)"
-    )
-    parser.add_argument(
-        "--budget", type=_positive_int, default=None, help="max enumeration size"
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=1, help="parallel workers for searches"
-    )
+def _subcommand(
+    subparsers: argparse._SubParsersAction,
+    name: str,
+    help_text: str,
+    run: Callable[[argparse.Namespace], Result],
+    *required_ints: str,
+    with_csv: bool = False,
+    with_budget: bool = True,
+    with_workers: bool = False,
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with its required integer options and the
+    output and resource flags it acts on, and bind ``run`` as its handler."""
+    p = subparsers.add_parser(name, help=help_text)
+    for option in required_ints:
+        p.add_argument(option, type=int, required=True)
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit JSON payload")
+    if with_csv:
+        output.add_argument("--csv", action="store_true", help="emit CSV")
+    if with_budget:
+        p.add_argument(
+            "--budget", type=_positive_int, default=None, help="max enumeration size"
+        )
+    if with_workers:
+        p.add_argument(
+            "--workers", type=_positive_int, default=1, help="parallel workers for searches"
+        )
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,55 +97,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="ground field inspection")
     field_sub = p.add_subparsers(dest="field_command", required=True)
-    p = field_sub.add_parser("info", help="elements and automorphisms at level l")
-    p.add_argument("--l", type=int, required=True)
-    _common_flags(p)
+    _subcommand(
+        field_sub, "info", "elements and automorphisms at level l", _cmd_field_info, "--l"
+    )
 
-    p = sub.add_parser("involutions", help="power-map involutions of level m")
-    p.add_argument("--m", type=int, required=True)
+    p = _subcommand(
+        sub, "involutions", "power-map involutions of level m", _cmd_involutions, "--m"
+    )
     p.add_argument("--r", type=int, default=None)
-    _common_flags(p)
 
-    p = sub.add_parser("unitary-group", help="unitary wreath product at level r(r+2)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = _subcommand(
+        sub, "unitary-group", "unitary wreath product at level r(r+2)",
+        _cmd_unitary_group, "--m", "--r",
+    )
     p.add_argument("--enumerate", action="store_true", dest="enumerate_elements")
-    _common_flags(p)
 
-    p = sub.add_parser("observables", help="self-adjoint monomial matrices")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _common_flags(p)
+    _subcommand(
+        sub, "observables", "self-adjoint monomial matrices", _cmd_observables,
+        "--m", "--l",
+    )
 
-    p = sub.add_parser("noclone", help="exhaustive projective cloner search")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = _subcommand(
+        sub, "noclone", "exhaustive projective cloner search", _cmd_noclone,
+        "--m", "--l", with_workers=True,
+    )
     p.add_argument("--scope", choices=("simple", "all"), default="all")
-    _common_flags(p)
 
     p = sub.add_parser("delete", help="almost-unitary deletion operator")
     delete_sub = p.add_subparsers(dest="delete_command", required=True)
-    for name, help_text in (
-        ("build", "construct the deleter and check almost-unitarity"),
-        ("verify", "audit the deleter on every ray"),
-        ("prob", "exact success probability and limits"),
-    ):
-        q = delete_sub.add_parser(name, help=help_text)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--l", type=int, required=True)
-        _common_flags(q)
+    _subcommand(
+        delete_sub, "build", "construct the deleter and check almost-unitarity",
+        _cmd_delete_build, "--m", "--l",
+    )
+    _subcommand(
+        delete_sub, "verify", "audit the deleter on every ray", _cmd_delete_verify,
+        "--m", "--l",
+    )
+    _subcommand(
+        delete_sub, "prob", "exact success probability and limits", _cmd_delete_prob,
+        "--m", "--l", with_csv=True, with_budget=False,
+    )
 
-    p = sub.add_parser("dictionary", help="four-theory comparison table at prime q")
-    p.add_argument("--q", type=int, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("selftest", help="run all exhaustive oracles at default bounds")
-    _common_flags(p)
-
+    _subcommand(
+        sub, "dictionary", "four-theory comparison table at prime q", _cmd_dictionary,
+        "--q", with_csv=True,
+    )
+    _subcommand(
+        sub, "selftest", "run all exhaustive oracles at default bounds", _cmd_selftest,
+        with_budget=False,
+    )
     return parser
 
 
-def _cmd_field_info(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_field_info(args: argparse.Namespace) -> Result:
     l = args.l
     check_budget(l + 1, args.budget, what=f"elements at level {l}")
     elems = elements(l)
@@ -144,7 +169,7 @@ def _cmd_field_info(args: argparse.Namespace) -> tuple[dict, str, int]:
             "exponents " + ", ".join(str(d) for d in auts),
         ]
     )
-    return payload, text, EXIT_OK
+    return payload, text, EXIT_OK, None
 
 
 def _involution_record(m: int, r: int, *, with_elements: bool) -> dict:
@@ -162,9 +187,10 @@ def _involution_record(m: int, r: int, *, with_elements: bool) -> dict:
     return record
 
 
-def _cmd_involutions(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_involutions(args: argparse.Namespace) -> Result:
     m = args.m
     check_budget(m + 1, args.budget, what=f"elements at level {m}")
+    classify_involution(m, 1)  # refuses m < 1, which would list no maps
     if args.r is not None:
         records = [_involution_record(m, args.r, with_elements=True)]
     else:
@@ -184,10 +210,10 @@ def _cmd_involutions(args: argparse.Namespace) -> tuple[dict, str, int]:
             f"  r={rec['r']}: {flags} -> {verdict}"
             f" (fixed field size {rec['fixed_field_order'] + 1})"
         )
-    return payload, "\n".join(lines), EXIT_OK
+    return payload, "\n".join(lines), EXIT_OK, None
 
 
-def _cmd_unitary_group(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_unitary_group(args: argparse.Namespace) -> Result:
     group = unitary_group(args.m, args.r, budget=args.budget)
     expected = (args.r + 2) ** args.m * math.factorial(args.m)
     payload = {
@@ -208,10 +234,10 @@ def _cmd_unitary_group(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.enumerate_elements:
         text += "\n" + "\n\n".join(format_matrix(u) for u in group)
     code = EXIT_OK if payload["matches"] else EXIT_INVARIANT
-    return payload, text, code
+    return payload, text, code, None
 
 
-def _cmd_observables(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_observables(args: argparse.Namespace) -> Result:
     sigma = None
     for r in range(1, args.l + 1):
         spec = classify_involution(args.l, r)
@@ -234,10 +260,13 @@ def _cmd_observables(args: argparse.Namespace) -> tuple[dict, str, int]:
         f"(conjugation {payload['conjugation']}):\n"
         + "\n\n".join(format_matrix(h) for h in obs)
     )
-    return payload, text, EXIT_OK
+    return payload, text, EXIT_OK, None
 
 
-def _cmd_noclone(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_noclone(args: argparse.Namespace) -> Result:
+    if args.m < 2:
+        # One ray only, and the identity clones it: no-cloning needs m >= 2.
+        raise ValueError(f"noclone needs --m >= 2, got {args.m}")
     result = search_projective_cloner(
         args.m,
         args.l,
@@ -265,7 +294,7 @@ def _cmd_noclone(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.scope == "all":
         if result.found:
             text = f"INVARIANT VIOLATION: universal cloner found in {space}"
-            return payload, text, EXIT_INVARIANT
+            return payload, text, EXIT_INVARIANT, None
         text = (
             f"no universal cloner: exhausted {space} against "
             f"{result.rays_targeted} rays"
@@ -279,10 +308,10 @@ def _cmd_noclone(args: argparse.Namespace) -> tuple[dict, str, int]:
             )
         else:
             text = f"no simple-ray cloner in {space}"
-    return payload, text, EXIT_OK
+    return payload, text, EXIT_OK, None
 
 
-def _cmd_delete_build(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_delete_build(args: argparse.Namespace) -> Result:
     op = build_deletion_operator(args.m, args.l, budget=args.budget)
     almost = is_almost_unitary(op)
     payload = {
@@ -293,10 +322,10 @@ def _cmd_delete_build(args: argparse.Namespace) -> tuple[dict, str, int]:
         "almost_unitary": almost,
     }
     text = format_matrix(op) + f"\nalmost unitary: {'yes' if almost else 'NO'}"
-    return payload, text, EXIT_OK if almost else EXIT_INVARIANT
+    return payload, text, EXIT_OK if almost else EXIT_INVARIANT, None
 
 
-def _cmd_delete_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_delete_verify(args: argparse.Namespace) -> Result:
     report = verify_deletion(args.m, args.l, budget=args.budget)
     payload = report.to_json()
     text = (
@@ -304,10 +333,10 @@ def _cmd_delete_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
         f"{report.rays_annihilated} annihilated, probability "
         f"{report.probability.numerator}/{report.probability.denominator}"
     )
-    return payload, text, EXIT_OK
+    return payload, text, EXIT_OK, None
 
 
-def _cmd_delete_prob(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_delete_prob(args: argparse.Namespace) -> Result:
     p = probability_a1(args.m, args.l)
     m_inf = limit_m_infinity(args.l)
     l_inf = limit_l_infinity()
@@ -316,18 +345,20 @@ def _cmd_delete_prob(args: argparse.Namespace) -> tuple[dict, str, int]:
         f"P(a1 != 0) at m={args.m}, l={args.l}: {p.numerator}/{p.denominator} "
         f"= {float(p):.6f}; limits: m->inf {m_inf}, l->inf {l_inf}"
     )
-    return payload, text, EXIT_OK
-
-
-def _delete_prob_csv(args: argparse.Namespace) -> list[list[str]]:
-    p = probability_a1(args.m, args.l)
-    return [
+    csv_rows = [
         ["m", "l", "num", "den", "value"],
         [str(args.m), str(args.l), str(p.numerator), str(p.denominator), repr(float(p))],
     ]
+    return payload, text, EXIT_OK, csv_rows
 
 
-def _cmd_selftest(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _cmd_dictionary(args: argparse.Namespace) -> Result:
+    table = dictionary_table(args.q, budget=args.budget)
+    code = EXIT_OK if table.aligned else EXIT_INVARIANT
+    return table.to_json(), table.to_markdown(), code, table.csv_rows()
+
+
+def _cmd_selftest(args: argparse.Namespace) -> Result:
     results = run_all()
     all_ok = all(r.ok for r in results)
     payload = {
@@ -339,58 +370,15 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[dict, str, int]:
         for r in results
     ]
     lines.append("all criteria passed" if all_ok else "SELFTEST FAILED")
-    return payload, "\n".join(lines), EXIT_OK if all_ok else EXIT_INVARIANT
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[dict, str, int, list[list[str]] | None]:
-    csv_rows: list[list[str]] | None = None
-    if args.command == "field":
-        payload, text, code = _cmd_field_info(args)
-    elif args.command == "involutions":
-        payload, text, code = _cmd_involutions(args)
-    elif args.command == "unitary-group":
-        payload, text, code = _cmd_unitary_group(args)
-    elif args.command == "observables":
-        payload, text, code = _cmd_observables(args)
-    elif args.command == "noclone":
-        payload, text, code = _cmd_noclone(args)
-    elif args.command == "delete":
-        if args.delete_command == "build":
-            payload, text, code = _cmd_delete_build(args)
-        elif args.delete_command == "verify":
-            payload, text, code = _cmd_delete_verify(args)
-        else:
-            payload, text, code = _cmd_delete_prob(args)
-            csv_rows = _delete_prob_csv(args)
-    elif args.command == "dictionary":
-        table = dictionary_table(args.q, budget=args.budget)
-        payload = table.to_json()
-        text = table.to_markdown()
-        code = EXIT_OK if table.aligned else EXIT_INVARIANT
-        csv_rows = table.csv_rows()
-    elif args.command == "selftest":
-        payload, text, code = _cmd_selftest(args)
-    else:  # unreachable with required=True
-        raise AssertionError(f"unknown command {args.command!r}")
-    return payload, text, code, csv_rows
+    return payload, "\n".join(lines), EXIT_OK if all_ok else EXIT_INVARIANT, None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if getattr(args, "csv", False):
-        full = args.command
-        if full == "delete":
-            full = f"delete {args.delete_command}"
-        if full not in CSV_COMMANDS:
-            parser.error(f"--csv is not available for '{full}'")
-    if getattr(args, "json", False) and getattr(args, "csv", False):
-        parser.error("--json and --csv are mutually exclusive")
+    args = build_parser().parse_args(argv)
 
     start = time.perf_counter()
     try:
-        payload, text, code, csv_rows = _dispatch(args)
+        payload, text, code, csv_rows = args.run(args)
     except BudgetExceededError as exc:
         if args.json:
             print(json.dumps({"status": "budget-exceeded", "detail": str(exc)}, indent=2))
@@ -407,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         print(json.dumps(payload, indent=2))
-    elif args.csv:
+    elif getattr(args, "csv", False):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)
         sys.stdout.write(buffer.getvalue())

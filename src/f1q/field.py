@@ -80,11 +80,6 @@ class F1Element:
     def is_unit(self) -> bool:
         return self.exp is not None
 
-    @property
-    def sort_key(self) -> int:
-        """Deterministic ordering: 0 < w^0 < w^1 < ... within one level."""
-        return 0 if self.exp is None else 1 + self.exp
-
     def __mul__(self, other: "F1Element") -> "F1Element":
         if not isinstance(other, F1Element):
             return NotImplemented

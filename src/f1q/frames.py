@@ -307,19 +307,17 @@ def _entry_choices(l: int) -> list[F1Element]:
     return [zero(l), *(unit(e, l) for e in range(l))]
 
 
-def enumerate_vectors(
-    m: int, l: int, include_zero: bool = False, budget: int | None = None
-) -> list[StateVector]:
-    """All vectors of dimension m at level l, in lexicographic entry order
-    (zero before w^0 before w^1 ...).  The (l+1)^m candidates are checked
-    against the budget before any is built."""
+def enumerate_vectors(m: int, l: int, budget: int | None = None) -> list[StateVector]:
+    """All nonzero vectors of dimension m at level l, in lexicographic entry
+    order (zero before w^0 before w^1 ...).  The (l+1)^m candidates are
+    checked against the budget before any is built."""
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
     out = []
     for combo in itertools.product(_entry_choices(l), repeat=m):
         v = StateVector(combo)
-        if include_zero or not v.is_zero:
+        if not v.is_zero:
             out.append(v)
     return out
 

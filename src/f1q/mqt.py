@@ -122,9 +122,6 @@ class GFField:
     def neg(self, x: GFElement) -> GFElement:
         return (-x[0] % self.p, -x[1] % self.p)
 
-    def sub(self, x: GFElement, y: GFElement) -> GFElement:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: GFElement, y: GFElement) -> GFElement:
         if x == self.zero or y == self.zero:
             return self.zero
@@ -305,14 +302,10 @@ class DictionaryRow:
     unitary_scalars: str
 
     def to_json(self) -> dict:
-        return {
-            "theory": self.theory,
-            "field": self.field,
-            "involution": self.involution,
-            "fixed_field": self.fixed_field,
-            "standard_form": self.standard_form,
-            "unitary_scalars": self.unitary_scalars,
-        }
+        return dataclasses.asdict(self)
+
+
+_DICTIONARY_COLUMNS = tuple(f.name for f in dataclasses.fields(DictionaryRow))
 
 
 @dataclass(frozen=True)
@@ -357,43 +350,16 @@ class DictionaryTable:
         }
 
     def to_markdown(self) -> str:
-        header = (
-            "| theory | field | involution | fixed field | standard form "
-            "| unitary scalars |"
-        )
-        sep = "|---|---|---|---|---|---|"
-        lines = [header, sep]
-        for row in self.rows:
-            lines.append(
-                f"| {row.theory} | {row.field} | {row.involution} "
-                f"| {row.fixed_field} | {row.standard_form} "
-                f"| {row.unitary_scalars} |"
-            )
+        header = [name.replace("_", " ") for name in _DICTIONARY_COLUMNS]
+        cells = [header, *(dataclasses.astuple(row) for row in self.rows)]
+        lines = ["| " + " | ".join(row) + " |" for row in cells]
+        lines.insert(1, "|" + "---|" * len(header))
         return "\n".join(lines)
 
     def csv_rows(self) -> list[list[str]]:
-        out = [
-            [
-                "theory",
-                "field",
-                "involution",
-                "fixed_field",
-                "standard_form",
-                "unitary_scalars",
-            ]
+        return [list(_DICTIONARY_COLUMNS)] + [
+            list(dataclasses.astuple(row)) for row in self.rows
         ]
-        for row in self.rows:
-            out.append(
-                [
-                    row.theory,
-                    row.field,
-                    row.involution,
-                    row.fixed_field,
-                    row.standard_form,
-                    row.unitary_scalars,
-                ]
-            )
-        return out
 
 
 def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:

@@ -68,6 +68,8 @@ class MonomialMatrix:
     def __post_init__(self) -> None:
         perm = tuple(self.perm)
         scalars = tuple(self.scalars)
+        if not perm or self.order < 1:
+            raise ValueError(f"need dim and level >= 1, got {len(perm)}@{self.order}")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"{perm} is not a permutation")
         if len(scalars) != len(perm):

@@ -1,5 +1,6 @@
 """CLI behavior: payload shapes, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from f1q.cli import main
+from f1q.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "f1q"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +136,79 @@ def test_usage_errors_exit_2():
     assert (
         run_cli("dictionary", "--q", "2", "--json", "--csv").returncode == 2
     )
+
+
+# Every option of every subcommand. The four shared flags follow the table in
+# the README: each subcommand takes only the ones it acts on.
+JSON, CSV, BUDGET, WORKERS = "--json", "--csv", "--budget", "--workers"
+OPTION_TABLE = {
+    "field info": {"--l", JSON, BUDGET},
+    "involutions": {"--m", "--r", JSON, BUDGET},
+    "unitary-group": {"--m", "--r", "--enumerate", JSON, BUDGET},
+    "observables": {"--m", "--l", JSON, BUDGET},
+    "noclone": {"--m", "--l", "--scope", JSON, BUDGET, WORKERS},
+    "delete build": {"--m", "--l", JSON, BUDGET},
+    "delete verify": {"--m", "--l", JSON, BUDGET},
+    "delete prob": {"--m", "--l", JSON, CSV},
+    "dictionary": {"--q", JSON, CSV, BUDGET},
+    "selftest": {JSON},
+}
+
+
+def leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def test_each_subcommand_takes_only_its_options():
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in leaf_parsers(build_parser())
+    }
+    assert options == OPTION_TABLE
+    shared = sum(len(opts & {JSON, CSV, BUDGET, WORKERS}) for opts in options.values())
+    assert shared == 21  # 40 when every subcommand took all four
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("selftest", "--workers", "2"),
+        ("delete", "prob", "--m", "2", "--l", "2", "--budget", "5"),
+        ("field", "info", "--l", "3", "--csv"),
+        ("observables", "--m", "2", "--l", "2", "--workers", "2"),
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_flag_a_subcommand_does_not_take_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("involutions", "--m", "0"),
+        ("involutions", "--m", "-3", "--json"),
+        ("noclone", "--m", "1", "--l", "1"),
+        ("noclone", "--m", "0", "--l", "2", "--json"),
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_dimension_below_range_exits_2(args, capsys):
+    # involutions at m < 1 listed no maps, and noclone at m = 1 reported the
+    # identity, which clones the only ray, as a universal cloner
+    message = {"involutions": "m and r must be >= 1", "noclone": "noclone needs --m >= 2"}
+    assert main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message[args[0]] in err
 
 
 @pytest.mark.parametrize(

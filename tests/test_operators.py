@@ -92,6 +92,11 @@ def test_matrix_validation():
             matrix_from_json({"dim": dim, "l": 2, "entries": []})
     with pytest.raises(ValueError):
         parse_matrix("1@0")  # nor a level below 1
+    for l in (2, 0):  # a monomial matrix needs a column and a level too
+        with pytest.raises(ValueError, match="need dim and level >= 1"):
+            MonomialMatrix(l, (), ())
+    with pytest.raises(ValueError, match="need dim and level >= 1"):
+        MonomialMatrix.identity(0, 2)
 
 
 def test_entry_layout():
