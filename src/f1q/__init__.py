@@ -7,148 +7,6 @@ no-cloning searches, almost-unitary deletion, and the finite-field
 comparison dictionary) is computed exactly over that structure.
 """
 
-from .budget import BudgetExceededError, default_budget
-from .clone_delete import (
-    AlmostUnitaryCloningScan,
-    CloneSearchResult,
-    DeletionReport,
-    NonSimpleObstruction,
-    almost_unitary_cloning_fails,
-    build_deletion_operator,
-    build_simple_cloner,
-    clones_rays,
-    is_almost_unitary,
-    limit_l_infinity,
-    limit_m_infinity,
-    nonsimple_defeats_cloner,
-    probability_a1,
-    scalar_obstruction,
-    search_projective_cloner,
-    verify_deletion,
-)
-from .field import (
-    F1Element,
-    InvolutionSpec,
-    automorphism_group,
-    classify_involution,
-    elements,
-    frobenius,
-    one,
-    parse_element,
-    totient,
-    unit,
-    units,
-    zero,
-)
-from .frames import (
-    FormValue,
-    PerpSpace,
-    ProjectiveRay,
-    StateVector,
-    basis_state,
-    enumerate_rays,
-    enumerate_vectors,
-    orthogonal,
-    parse_state,
-    perp_space,
-    ray_count,
-    ray_of,
-    simple_rays,
-    standard_form,
-    state,
-    tensor,
-)
-from .mqt import (
-    DictionaryTable,
-    GFField,
-    born_value,
-    dictionary_table,
-    gf_build,
-    hermitian_form,
-    monomial_unitary_entries,
-)
-from .operators import (
-    MonomialMatrix,
-    SubunitalMatrix,
-    enumerate_GL,
-    enumerate_subunital,
-    format_matrix,
-    gl_order,
-    is_observable,
-    is_unitary,
-    matrix_from_json,
-    matrix_to_json,
-    parse_matrix,
-    unitary_group,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BudgetExceededError",
-    "default_budget",
-    "F1Element",
-    "InvolutionSpec",
-    "automorphism_group",
-    "classify_involution",
-    "elements",
-    "frobenius",
-    "one",
-    "parse_element",
-    "totient",
-    "unit",
-    "units",
-    "zero",
-    "FormValue",
-    "PerpSpace",
-    "ProjectiveRay",
-    "StateVector",
-    "basis_state",
-    "enumerate_rays",
-    "enumerate_vectors",
-    "orthogonal",
-    "parse_state",
-    "perp_space",
-    "ray_count",
-    "ray_of",
-    "simple_rays",
-    "standard_form",
-    "state",
-    "tensor",
-    "MonomialMatrix",
-    "SubunitalMatrix",
-    "enumerate_GL",
-    "enumerate_subunital",
-    "format_matrix",
-    "gl_order",
-    "is_observable",
-    "is_unitary",
-    "matrix_from_json",
-    "matrix_to_json",
-    "parse_matrix",
-    "unitary_group",
-    "AlmostUnitaryCloningScan",
-    "CloneSearchResult",
-    "DeletionReport",
-    "NonSimpleObstruction",
-    "almost_unitary_cloning_fails",
-    "build_deletion_operator",
-    "build_simple_cloner",
-    "clones_rays",
-    "is_almost_unitary",
-    "limit_l_infinity",
-    "limit_m_infinity",
-    "nonsimple_defeats_cloner",
-    "probability_a1",
-    "scalar_obstruction",
-    "search_projective_cloner",
-    "verify_deletion",
-    "DictionaryTable",
-    "GFField",
-    "born_value",
-    "dictionary_table",
-    "gf_build",
-    "hermitian_form",
-    "monomial_unitary_entries",
-]
+__all__ = ["__version__"]

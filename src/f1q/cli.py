@@ -40,6 +40,8 @@ from .operators import (
 from .mqt import dictionary_table
 from .selftest import run_all
 
+__all__ = ["build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -68,7 +70,8 @@ def _subcommand(
     with_workers: bool = False,
 ) -> argparse.ArgumentParser:
     """Add subcommand ``name`` with its required integer options and the
-    output and resource flags it acts on, and bind ``run`` as its handler."""
+    output and resource flags it acts on, and bind ``run`` as its handler
+    and the new parser as the one that reports its usage errors."""
     p = subparsers.add_parser(name, help=help_text)
     for option in required_ints:
         p.add_argument(option, type=int, required=True)
@@ -84,7 +87,7 @@ def _subcommand(
         p.add_argument(
             "--workers", type=_positive_int, default=1, help="parallel workers for searches"
         )
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, parser=p)
     return p
 
 
@@ -374,7 +377,10 @@ def _cmd_selftest(args: argparse.Namespace) -> Result:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # reported by the subcommand's parser, so the usage shows its options
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
 
     start = time.perf_counter()
     try:

@@ -38,6 +38,7 @@ from .operators import (
     SubunitalMatrix,
     _as_subunital,
     _norm_exponent,
+    _unitary_scalars,
     _unitary_slice,
     enumerate_subunital,
     iter_unitaries,
@@ -166,7 +167,7 @@ def _scan_cloner_chunk(
     """
     m, l, sigma, scope, lo, hi = args
     blanks, _, cases = _cloner_cases(m, l, scope, None)
-    unitaries = _unitary_slice(m * m, l, sigma, lo, hi)
+    unitaries = _unitary_slice(m * m, l, _unitary_scalars(l, sigma), lo, hi)
     return _first_cloner(unitaries, lo, len(blanks), cases)
 
 
@@ -209,7 +210,7 @@ def search_projective_cloner(
     witness_u = witness_b = None
     if best is not None:
         ui, bi = divmod(best, len(blanks))
-        witness_u = next(_unitary_slice(n, l, sigma, ui, ui + 1))
+        witness_u = next(_unitary_slice(n, l, _unitary_scalars(l, sigma), ui, ui + 1))
         witness_b = blanks[bi]
         # The scan's pins and precomputed pairs are a fast path; the
         # definition has the last word on a witness.

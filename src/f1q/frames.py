@@ -24,6 +24,7 @@ from .field import (
     F1Element,
     InvolutionSpec,
     check_conjugation,
+    elements,
     interned,
     parse_element,
     unit,
@@ -238,7 +239,7 @@ class PerpSpace:
     def _vectors(self) -> Iterator[StateVector]:
         l = self.of.order
         entries = [zero(l)] * self.of.dim
-        for combo in itertools.product(_entry_choices(l), repeat=self.dimension):
+        for combo in itertools.product(elements(l), repeat=self.dimension):
             for i, e in zip(self.free_indices, combo):
                 entries[i] = e
             yield StateVector(tuple(entries))
@@ -302,11 +303,6 @@ def ray_of(x: StateVector) -> ProjectiveRay:
     return ProjectiveRay(x)
 
 
-def _entry_choices(l: int) -> list[F1Element]:
-    """The level-l elements in entry order: zero, then w^0, w^1, ..."""
-    return [zero(l), *(unit(e, l) for e in range(l))]
-
-
 def enumerate_vectors(m: int, l: int, budget: int | None = None) -> list[StateVector]:
     """All nonzero vectors of dimension m at level l, in lexicographic entry
     order (zero before w^0 before w^1 ...).  The (l+1)^m candidates are
@@ -315,7 +311,7 @@ def enumerate_vectors(m: int, l: int, budget: int | None = None) -> list[StateVe
         raise ValueError("m and l must be >= 1")
     check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
     out = []
-    for combo in itertools.product(_entry_choices(l), repeat=m):
+    for combo in itertools.product(elements(l), repeat=m):
         v = StateVector(combo)
         if not v.is_zero:
             out.append(v)
@@ -332,7 +328,7 @@ def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[Projective
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
-    choices = _entry_choices(l)
+    choices = elements(l)
     out = []
     for i in range(m - 1, -1, -1):
         head = (choices[0],) * i + (choices[1],)

@@ -29,6 +29,8 @@ from .field import (
     one,
     parse_element,
     unit,
+    units,
+    zero,
 )
 from .frames import StateVector
 
@@ -104,8 +106,6 @@ class MonomialMatrix:
         return cls(scalars[0].order, tuple(range(len(scalars))), scalars)
 
     def entry(self, i: int, j: int) -> F1Element:
-        from .field import zero
-
         return self.scalars[j] if self.perm[j] == i else zero(self.order)
 
     def apply(self, x: StateVector) -> StateVector:
@@ -187,14 +187,6 @@ class SubunitalMatrix:
                 raise ValueError("cell scalars must be units at the matrix level")
         object.__setattr__(self, "cells", cells)
 
-    def entry(self, i: int, j: int) -> F1Element:
-        from .field import zero
-
-        for r, c, s in self.cells:
-            if r == i and c == j:
-                return s
-        return zero(self.order)
-
     def apply(self, x: StateVector) -> StateVector:
         if x.dim != self.dim or x.order != self.order:
             raise ValueError("operator/state dimension or level mismatch")
@@ -239,11 +231,7 @@ def enumerate_GL(m: int, l: int, budget: int | None = None) -> list[MonomialMatr
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(gl_order(m, l), budget, what=f"GL({m}) at level {l}")
-    out = []
-    for perm in itertools.permutations(range(m)):
-        for exps in itertools.product(range(l), repeat=m):
-            out.append(MonomialMatrix(l, perm, tuple(unit(e, l) for e in exps)))
-    return out
+    return list(_unitary_slice(m, l, units(l), 0, None))
 
 
 def _norm_exponent(sigma: InvolutionSpec | None) -> int:
@@ -269,15 +257,15 @@ def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
     return all(d * s.exp % a.order == 0 for s in a.scalars)
 
 
-def _unitary_exponents(l: int, sigma: InvolutionSpec | None) -> list[int]:
-    """Exponents of the unit scalars s with sigma(s) * s = 1, ascending."""
+def _unitary_scalars(l: int, sigma: InvolutionSpec | None) -> list[F1Element]:
+    """The unit scalars s with sigma(s) * s = 1, in exponent order."""
     d = _norm_exponent(sigma)
-    return [e for e in range(l) if d * e % l == 0]
+    return [unit(e, l) for e in range(l) if d * e % l == 0]
 
 
 def unitary_order(m: int, l: int, sigma: InvolutionSpec | None = None) -> int:
     """|U(m)| at level l: m! times |U|^m for the unitary scalar subgroup U."""
-    return factorial(m) * len(_unitary_exponents(l, sigma)) ** m
+    return factorial(m) * len(_unitary_scalars(l, sigma)) ** m
 
 
 def iter_unitaries(
@@ -294,19 +282,18 @@ def iter_unitaries(
         raise ValueError("m and l must be >= 1")
     check_conjugation(sigma, l)
     check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
-    return _unitary_slice(m, l, sigma, 0, None)
+    return _unitary_slice(m, l, _unitary_scalars(l, sigma), 0, None)
 
 
 def _unitary_slice(
-    m: int, l: int, sigma: InvolutionSpec | None, lo: int, hi: int | None
+    m: int, l: int, scalars: Sequence[F1Element], lo: int, hi: int | None
 ) -> Iterator[MonomialMatrix]:
-    """Members lo <= k < hi of ``iter_unitaries(m, l, sigma)``, unchecked.
-
-    Each permutation owns |U|^m consecutive members, so the permutations
-    wholly before ``lo`` are skipped outright, and only the members in the
-    slice are built as matrices.
+    """Members lo <= k < hi of the wreath product of ``scalars`` with S_m,
+    unchecked: ``iter_unitaries`` with the unitary scalars, ``enumerate_GL``
+    with every unit.  Each permutation owns len(scalars)^m consecutive
+    members, so the permutations wholly before ``lo`` are skipped outright,
+    and only the members in the slice are built as matrices.
     """
-    scalars = [unit(e, l) for e in _unitary_exponents(l, sigma)]
     per_perm = len(scalars) ** m
     skipped = lo // per_perm * per_perm
     perms = itertools.islice(itertools.permutations(range(m)), lo // per_perm, None)
@@ -331,13 +318,23 @@ def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMat
 
 
 def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
-    """Whether H equals sigma(H^T), the Hermitian condition entry by entry."""
+    """Whether H equals sigma(H^T), the Hermitian condition.
+
+    Any singular matrix fails.  sigma(H^T) holds sigma(s_j) at (j, perm[j]),
+    so H = sigma(H^T) exactly when perm is an involution and, for every
+    column j, s_(perm[j]) = sigma(s_j).
+    """
     if isinstance(h, SubunitalMatrix):
         if not h.is_monomial:
             return False
         h = h.to_monomial()
     check_conjugation(sigma, h.order)
-    return h == h.transpose().conj(sigma)
+    d = 1 if sigma is None else sigma.r + 1  # sigma(s) = s^d
+    perm, scalars, l = h.perm, h.scalars, h.order
+    return all(
+        perm[i] == j and scalars[i].exp == scalars[j].exp * d % l
+        for j, i in enumerate(perm)
+    )
 
 
 def subunital_count(dim: int, l: int) -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "principal_submatrix",
     "principal_subset_scan",
     "product_rule_unitaries",
+    "product_rule_observables",
     "involution_brute_force",
     "automorphism_group_brute_force",
     "brute_force_exponents",
@@ -63,6 +64,14 @@ def product_rule_unitaries(
     algebra, in ``enumerate_GL`` order."""
     eye = MonomialMatrix.identity(m, l)
     return [a for a in enumerate_GL(m, l) if a.transpose().conj(sigma) @ a == eye]
+
+
+def product_rule_observables(
+    m: int, l: int, sigma: InvolutionSpec | None
+) -> list[MonomialMatrix]:
+    """The members H of GL(m) at level l with H = sigma(H^T), by matrix
+    algebra, in ``enumerate_GL`` order."""
+    return [h for h in enumerate_GL(m, l) if h == h.transpose().conj(sigma)]
 
 
 def _code_products(l: int) -> list[list[int]]:

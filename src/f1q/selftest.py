@@ -46,6 +46,7 @@ from .oracles import (
     brute_force_exponents,
     involution_brute_force,
     principal_subset_scan,
+    product_rule_observables,
     product_rule_unitaries,
 )
 
@@ -101,6 +102,11 @@ def _unitary_groups() -> tuple[bool, str]:
             return False, f"U({m}, r={r}) differs from the product-rule filter of GL"
         if len(want) != (r + 2) ** m * math.factorial(m):
             return False, f"|U({m}, r={r})| = {len(want)}, expected the wreath order"
+    for l, r in ((3, 1), (8, 2)):
+        sigma = classify_involution(l, r)
+        obs = [h for h in enumerate_GL(2, l) if is_observable(h, sigma)]
+        if obs != product_rule_observables(2, l, sigma):
+            return False, f"observables of GL(2) at level {l} differ from H = sigma(H^T)"
     for m in range(1, 5):
         gl = enumerate_GL(m, 2)
         if len(gl) != gl_order(m, 2) or not all(is_unitary(a) for a in gl):
@@ -113,9 +119,10 @@ def _unitary_groups() -> tuple[bool, str]:
     if n_obs != 6:
         return False, f"expected 6 observables at m=2, level 2, got {n_obs}"
     return True, (
-        "U equals the product-rule filter of GL element for element, with the "
-        "wreath order, for (2,1),(3,1),(2,2); U=GL and observables=square "
-        "roots of identity exhaustively at level 2, m <= 4; 6 observables at m=2"
+        "U equals the product-rule filter of GL, with the wreath order, for "
+        "(2,1),(3,1),(2,2); observables of GL(2) equal the H = sigma(H^T) filter "
+        "at (l,r) = (3,1),(8,2); U=GL and observables=square roots of identity "
+        "exhaustively at level 2, m <= 4; 6 observables at m=2"
     )
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: payload shapes, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -181,6 +182,7 @@ def test_each_subcommand_takes_only_its_options():
         ("delete", "prob", "--m", "2", "--l", "2", "--budget", "5"),
         ("field", "info", "--l", "3", "--csv"),
         ("observables", "--m", "2", "--l", "2", "--workers", "2"),
+        ("noclone", "--m", "2", "--l", "2", "--csv"),
     ],
     ids=lambda args: " ".join(args),
 )
@@ -190,6 +192,11 @@ def test_flag_a_subcommand_does_not_take_exits_2(args, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
+    # the subcommand's own parser reports it, with that subcommand's usage
+    words = itertools.takewhile(lambda a: not a.startswith("--"), args)
+    prog = " ".join(["f1q", *words])
+    assert err.startswith(f"usage: {prog} ")
+    assert f"{prog}: error: unrecognized arguments: " in err
 
 
 @pytest.mark.parametrize(

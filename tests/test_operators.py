@@ -27,7 +27,7 @@ from f1q.operators import (
     unitary_group,
     unitary_order,
 )
-from f1q.oracles import principal_submatrix
+from f1q.oracles import principal_submatrix, product_rule_observables
 
 
 def conjugations(l):
@@ -158,6 +158,8 @@ def test_gl_enumeration_count(m, l):
     group = enumerate_GL(m, l)
     assert len(group) == gl_order(m, l) == l**m * math.factorial(m)
     assert len(set(group)) == len(group)
+    # permutations outer, column exponents inner, each in lexicographic order
+    assert group == sorted(group, key=lambda a: (a.perm, [s.exp for s in a.scalars]))
 
 
 def test_gl_frozen_order():
@@ -243,9 +245,11 @@ def test_unitaries_checked_against_budget_not_gl():
 
 @pytest.mark.parametrize("lo,hi", [(0, 1944), (0, 81), (80, 82), (1000, 1944), (1943, 1944)])
 def test_unitary_slice_matches_full_list(lo, hi):
-    # 24 permutations times 3^4 = 81 unitary column scalars at level 3
+    # 24 permutations times 3^4 = 81 unitary column scalars at level 3, where
+    # under v -> v^2 every unit is unitary: (r + 2) * e = 3e = 0 mod 3
     sigma = classify_involution(3, 1)
-    assert list(_unitary_slice(4, 3, sigma, lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
+    scalars = [unit(e, 3) for e in range(3)]
+    assert list(_unitary_slice(4, 3, scalars, lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
 
 
 def test_iter_unitaries_rejects_bad_conjugation():
@@ -279,6 +283,17 @@ def test_level_two_observables_are_square_roots_of_identity(m):
     eye = MonomialMatrix.identity(m, 2)
     for h in enumerate_GL(m, 2):
         assert is_observable(h) == (h @ h == eye)
+
+
+@pytest.mark.parametrize("m,l", [(m, l) for m in range(1, 4) for l in range(1, 7)])
+def test_observable_rule_matches_product_rule(m, l):
+    # is_observable reads the permutation and scalars; the oracle filters GL
+    # by H = sigma(H^T) in matrix algebra.  Equal lists mean equal verdicts
+    # on every member.
+    gl = enumerate_GL(m, l)
+    for sigma in conjugations(l):
+        rule = [h for h in gl if is_observable(h, sigma)]
+        assert rule == product_rule_observables(m, l, sigma)
 
 
 def test_observable_with_involution():

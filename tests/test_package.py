@@ -1,11 +1,15 @@
-"""Package layout: the public surface resolves, and oracles stay off main paths."""
+"""Package layout: the public surface resolves, oracles stay off main paths,
+and the README library example runs."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import f1q
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "f1q"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "f1q"
+README = ROOT / "README.md"
 
 
 def imported_names(path):
@@ -34,6 +38,18 @@ def test_only_selftest_imports_oracles():
 
 
 def test_every_public_name_resolves():
-    assert len(set(f1q.__all__)) == len(f1q.__all__)
-    missing = [name for name in f1q.__all__ if not hasattr(f1q, name)]
-    assert missing == []
+    # The package re-exports nothing: each module's __all__ is its public list.
+    assert f1q.__all__ == ["__version__"]
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"f1q.{path.stem}")
+        assert len(set(module.__all__)) == len(module.__all__), path.name
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], path.name
+
+
+def test_readme_library_example_runs():
+    text = README.read_text().split("## Library example", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
