@@ -241,16 +241,17 @@ def _cmd_unitary_group(args: argparse.Namespace) -> Result:
 
 
 def _cmd_observables(args: argparse.Namespace) -> Result:
+    # Enumerating GL first lets its budget check refuse a huge l before the
+    # scan over r, which takes up to l steps.  Rebinding ``obs`` to the
+    # filtered list frees GL before the payload is rendered.
+    obs = enumerate_GL(args.m, args.l, budget=args.budget)
     sigma = None
     for r in range(1, args.l + 1):
         spec = classify_involution(args.l, r)
         if spec.valid:
             sigma = spec
             break
-    obs = [
-        h for h in enumerate_GL(args.m, args.l, budget=args.budget)
-        if is_observable(h, sigma)
-    ]
+    obs = [h for h in obs if is_observable(h, sigma)]
     payload = {
         "m": args.m,
         "l": args.l,

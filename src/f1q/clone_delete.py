@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import check_budget
-from .field import F1Element, InvolutionSpec, check_conjugation, one, units
+from .field import F1Element, InvolutionSpec, one, unitary_exponents, units
 from .frames import (
     ProjectiveRay,
     StateVector,
@@ -36,9 +36,6 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
-    _as_subunital,
-    _norm_exponent,
-    _unitary_scalars,
     _unitary_slice,
     enumerate_subunital,
     iter_unitaries,
@@ -167,7 +164,7 @@ def _scan_cloner_chunk(
     """
     m, l, sigma, scope, lo, hi = args
     blanks, _, cases = _cloner_cases(m, l, scope, None)
-    unitaries = _unitary_slice(m * m, l, _unitary_scalars(l, sigma), lo, hi)
+    unitaries = _unitary_slice(m * m, l, unitary_exponents(sigma, l), lo, hi)
     return _first_cloner(unitaries, lo, len(blanks), cases)
 
 
@@ -210,7 +207,7 @@ def search_projective_cloner(
     witness_u = witness_b = None
     if best is not None:
         ui, bi = divmod(best, len(blanks))
-        witness_u = next(_unitary_slice(n, l, _unitary_scalars(l, sigma), ui, ui + 1))
+        witness_u = next(_unitary_slice(n, l, unitary_exponents(sigma, l), ui, ui + 1))
         witness_b = blanks[bi]
         # The scan's pins and precomputed pairs are a fast path; the
         # definition has the last word on a witness.
@@ -265,11 +262,17 @@ class NonSimpleObstruction:
         return self.reachable_support_size != self.target_support_size
 
 
-def nonsimple_defeats_cloner(m: int, l: int) -> NonSimpleObstruction:
-    """First non-simple ray in enumeration order, with the counting record."""
+def _first_nonsimple_ray(m: int, l: int, budget: int | None = None) -> ProjectiveRay:
+    """The first non-simple ray in enumeration order; at m = 1 every ray is
+    simple, so there is none."""
     if m < 2:
         raise ValueError("non-simple rays need dimension >= 2")
-    phi = next(r for r in enumerate_rays(m, l) if not r.is_simple)
+    return next(r for r in enumerate_rays(m, l, budget) if not r.is_simple)
+
+
+def nonsimple_defeats_cloner(m: int, l: int) -> NonSimpleObstruction:
+    """First non-simple ray in enumeration order, with the counting record."""
+    phi = _first_nonsimple_ray(m, l)
     size = len(phi.representative.support())
     return NonSimpleObstruction(
         ray=phi,
@@ -290,11 +293,8 @@ def is_almost_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool
     every cell on a cycle passes that test; cells on open paths are free, and
     a fixed point (i, i) is a 1-cycle.
     """
-    sub = _as_subunital(a)
-    l = sub.order
-    check_conjugation(sigma, l)
-    d = _norm_exponent(sigma)
-    step = {j: (i, s) for i, j, s in sub.cells}
+    allowed = unitary_exponents(sigma, a.order)
+    step = {j: (i, s) for i, j, s in a.cells}
     seen = set()
     for start in step:
         # The map is injective, so a walk can close a cycle only at its
@@ -304,7 +304,7 @@ def is_almost_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool
             seen.add(j)
             j, scalar = step[j]
             walk.append(scalar.exp)
-        if j == start and any(d * e % l for e in walk):
+        if j == start and any(e not in allowed for e in walk):
             return False
     return True
 
@@ -454,7 +454,7 @@ def almost_unitary_cloning_fails(
     phi (x) blank is nonzero its ray is compared to the clone target; a match
     would be a counterexample, and none is expected.
     """
-    phi = next(r for r in enumerate_rays(m, l, budget) if not r.is_simple)
+    phi = _first_nonsimple_ray(m, l, budget)
     rep = phi.representative
     target = ray_of(tensor(rep, rep))
     blanks = [

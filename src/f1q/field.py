@@ -29,6 +29,7 @@ __all__ = [
     "automorphism_group",
     "classify_involution",
     "check_conjugation",
+    "unitary_exponents",
 ]
 
 _SCALAR_RE = re.compile(r"^(0|w\^-?\d+)$")
@@ -251,16 +252,31 @@ def classify_involution(m: int, r: int) -> InvolutionSpec:
     return InvolutionSpec(m=m, r=r, sub_ok=(r * (r + 2)) % m == 0, ntriv_ok=r % m != 0)
 
 
-def check_conjugation(sigma: InvolutionSpec | None, level: int) -> None:
-    """Reject a conjugation that is not a valid involution at ``level``.
+def check_conjugation(sigma: InvolutionSpec | None, level: int) -> int:
+    """Reject a conjugation that is not a valid involution at ``level``, and
+    return its exponent: the d with sigma(w^e) = w^(d * e).
 
-    ``None`` is the identity conjugation and passes at every level.
+    ``None`` is the identity conjugation, d = 1, and passes at every level;
+    v -> v^(r+1) has d = r + 1.  This is the one place that turns a
+    conjugation into exponent arithmetic.
     """
     if sigma is None:
-        return
+        return 1
     if not sigma.valid:
         raise ValueError(f"({sigma.m}, {sigma.r}) is not a valid involution")
     if sigma.m != level:
         raise ValueError(
             f"involution lives at level {sigma.m}, cannot act at level {level}"
         )
+    return sigma.r + 1
+
+
+def unitary_exponents(sigma: InvolutionSpec | None, level: int) -> range:
+    """Exponents e of the unitary scalars, the units with sigma(s) * s = 1.
+
+    sigma(w^e) * w^e = w^((d + 1) * e), so these are the multiples of
+    l / gcd(d + 1, l): a subgroup of order gcd(d + 1, l), given in closed
+    form without scanning the l units.
+    """
+    d = check_conjugation(sigma, level)
+    return range(0, level, level // gcd(d + 1, level))

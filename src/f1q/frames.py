@@ -182,11 +182,11 @@ def standard_form(
     the level-2 theory, which admits no nontrivial one).
     """
     _check_compatible(x, y)
-    check_conjugation(sigma, x.order)
+    d = check_conjugation(sigma, x.order)
     terms = []
     for xi, yi in zip(x, y):
         if xi.is_unit and yi.is_unit:
-            terms.append((sigma(xi) if sigma else xi) * yi)
+            terms.append(xi**d * yi)
             if len(terms) > 1:
                 return FormValue.undefined()
     return FormValue.defined(terms[0] if terms else zero(x.order))

@@ -29,7 +29,7 @@ from .field import (
     one,
     parse_element,
     unit,
-    units,
+    unitary_exponents,
     zero,
 )
 from .frames import StateVector
@@ -88,6 +88,12 @@ class MonomialMatrix:
     def dim(self) -> int:
         return len(self.perm)
 
+    @property
+    def cells(self) -> tuple[tuple[int, int, F1Element], ...]:
+        """The (row, col, scalar) triples in row order, as ``SubunitalMatrix``
+        stores them."""
+        return tuple(sorted(zip(self.perm, range(self.dim), self.scalars)))
+
     @classmethod
     def identity(cls, dim: int, l: int) -> "MonomialMatrix":
         return cls(l, tuple(range(dim)), tuple(one(l) for _ in range(dim)))
@@ -139,9 +145,8 @@ class MonomialMatrix:
         )
 
     def conj(self, sigma: InvolutionSpec | None) -> "MonomialMatrix":
-        if sigma is None:
-            return self
-        return MonomialMatrix(self.order, self.perm, tuple(sigma(s) for s in self.scalars))
+        d = check_conjugation(sigma, self.order)
+        return MonomialMatrix(self.order, self.perm, tuple(s**d for s in self.scalars))
 
     def inverse(self) -> "MonomialMatrix":
         inv = [0] * self.dim
@@ -152,10 +157,7 @@ class MonomialMatrix:
         return MonomialMatrix(self.order, tuple(inv), tuple(scalars))
 
     def to_subunital(self) -> "SubunitalMatrix":
-        cells = tuple(
-            sorted((self.perm[j], j, self.scalars[j]) for j in range(self.dim))
-        )
-        return SubunitalMatrix(self.dim, self.order, cells)
+        return SubunitalMatrix(self.dim, self.order, self.cells)
 
 
 @dataclass(frozen=True)
@@ -231,13 +233,7 @@ def enumerate_GL(m: int, l: int, budget: int | None = None) -> list[MonomialMatr
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(gl_order(m, l), budget, what=f"GL({m}) at level {l}")
-    return list(_unitary_slice(m, l, units(l), 0, None))
-
-
-def _norm_exponent(sigma: InvolutionSpec | None) -> int:
-    """The d with sigma(s) * s = s^d for every unit s: r + 2 under
-    v -> v^(r+1), and 2 under the identity conjugation."""
-    return 2 if sigma is None else sigma.r + 2
+    return list(_unitary_slice(m, l, range(l), 0, None))
 
 
 def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
@@ -245,27 +241,19 @@ def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
 
     Any singular matrix fails; for a monomial matrix the product collapses to
     the diagonal of the per-column values sigma(s) * s, so each column's
-    exponent e must satisfy (r+2) * e = 0 mod l under v -> v^(r+1), or
-    2 * e = 0 mod l under the identity conjugation.
+    exponent must be one of the ``unitary_exponents``.
     """
     if isinstance(a, SubunitalMatrix):
         if not a.is_monomial:
             return False
         a = a.to_monomial()
-    check_conjugation(sigma, a.order)
-    d = _norm_exponent(sigma)
-    return all(d * s.exp % a.order == 0 for s in a.scalars)
-
-
-def _unitary_scalars(l: int, sigma: InvolutionSpec | None) -> list[F1Element]:
-    """The unit scalars s with sigma(s) * s = 1, in exponent order."""
-    d = _norm_exponent(sigma)
-    return [unit(e, l) for e in range(l) if d * e % l == 0]
+    allowed = unitary_exponents(sigma, a.order)
+    return all(s.exp in allowed for s in a.scalars)
 
 
 def unitary_order(m: int, l: int, sigma: InvolutionSpec | None = None) -> int:
     """|U(m)| at level l: m! times |U|^m for the unitary scalar subgroup U."""
-    return factorial(m) * len(_unitary_scalars(l, sigma)) ** m
+    return factorial(m) * len(unitary_exponents(sigma, l)) ** m
 
 
 def iter_unitaries(
@@ -280,20 +268,22 @@ def iter_unitaries(
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    check_conjugation(sigma, l)
     check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
-    return _unitary_slice(m, l, _unitary_scalars(l, sigma), 0, None)
+    return _unitary_slice(m, l, unitary_exponents(sigma, l), 0, None)
 
 
 def _unitary_slice(
-    m: int, l: int, scalars: Sequence[F1Element], lo: int, hi: int | None
+    m: int, l: int, exps: Sequence[int], lo: int, hi: int | None
 ) -> Iterator[MonomialMatrix]:
-    """Members lo <= k < hi of the wreath product of ``scalars`` with S_m,
-    unchecked: ``iter_unitaries`` with the unitary scalars, ``enumerate_GL``
-    with every unit.  Each permutation owns len(scalars)^m consecutive
-    members, so the permutations wholly before ``lo`` are skipped outright,
-    and only the members in the slice are built as matrices.
+    """Members lo <= k < hi of the wreath product of the units w^e, e in
+    ``exps``, with S_m, unchecked: ``iter_unitaries`` with the unitary
+    exponents, ``enumerate_GL`` with every exponent.  Each permutation owns
+    len(exps)^m consecutive members, so the permutations wholly before ``lo``
+    are skipped outright, and only the members in the slice are built as
+    matrices.
     """
+    table = interned(l)
+    scalars = [table[e] for e in exps]
     per_perm = len(scalars) ** m
     skipped = lo // per_perm * per_perm
     perms = itertools.islice(itertools.permutations(range(m)), lo // per_perm, None)
@@ -328,8 +318,7 @@ def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
         if not h.is_monomial:
             return False
         h = h.to_monomial()
-    check_conjugation(sigma, h.order)
-    d = 1 if sigma is None else sigma.r + 1  # sigma(s) = s^d
+    d = check_conjugation(sigma, h.order)  # sigma(s) = s^d
     perm, scalars, l = h.perm, h.scalars, h.order
     return all(
         perm[i] == j and scalars[i].exp == scalars[j].exp * d % l
@@ -359,16 +348,11 @@ def enumerate_subunital(dim: int, l: int, budget: int | None = None) -> list[Sub
     return out
 
 
-def _as_subunital(a: AnyMatrix) -> SubunitalMatrix:
-    return a.to_subunital() if isinstance(a, MonomialMatrix) else a
-
-
 def format_matrix(a: AnyMatrix) -> str:
     """Render as the ``dim@l`` header plus one 1-based ``row col w^k`` line
     per nonzero entry."""
-    sub = _as_subunital(a)
-    lines = [f"{sub.dim}@{sub.order}"]
-    lines += [f"{i + 1} {j + 1} {s}" for i, j, s in sub.cells]
+    lines = [f"{a.dim}@{a.order}"]
+    lines += [f"{i + 1} {j + 1} {s}" for i, j, s in a.cells]
     return "\n".join(lines)
 
 
@@ -389,11 +373,10 @@ def parse_matrix(text: str) -> SubunitalMatrix:
 
 
 def matrix_to_json(a: AnyMatrix) -> dict:
-    sub = _as_subunital(a)
     return {
-        "dim": sub.dim,
-        "l": sub.order,
-        "entries": [[i + 1, j + 1, str(s)] for i, j, s in sub.cells],
+        "dim": a.dim,
+        "l": a.order,
+        "entries": [[i + 1, j + 1, str(s)] for i, j, s in a.cells],
     }
 
 

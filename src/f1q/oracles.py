@@ -19,7 +19,6 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
-    _as_subunital,
     enumerate_GL,
     is_unitary,
 )
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 
-def principal_submatrix(a: SubunitalMatrix, indices: Sequence[int]) -> SubunitalMatrix:
+def principal_submatrix(a: AnyMatrix, indices: Sequence[int]) -> SubunitalMatrix:
     """Keep the rows and columns with the same index set, reindexed."""
     idx = sorted(set(indices))
     where = {g: k for k, g in enumerate(idx)}
@@ -48,10 +47,9 @@ def principal_submatrix(a: SubunitalMatrix, indices: Sequence[int]) -> Subunital
 def principal_subset_scan(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
     """Whether every nonsingular principal submatrix of A is unitary, by
     trying all 2^dim - 1 nonempty index sets."""
-    sub = _as_subunital(a)
-    for k in range(1, sub.dim + 1):
-        for subset in itertools.combinations(range(sub.dim), k):
-            block = principal_submatrix(sub, subset)
+    for k in range(1, a.dim + 1):
+        for subset in itertools.combinations(range(a.dim), k):
+            block = principal_submatrix(a, subset)
             if block.is_monomial and not is_unitary(block.to_monomial(), sigma):
                 return False
     return True

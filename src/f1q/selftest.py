@@ -14,6 +14,7 @@ desk-scale computation can certify the continuum statements themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -62,13 +63,7 @@ class CriterionResult:
     limit_s: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_ms": self.elapsed_ms,
-            "limit_s": self.limit_s,
-        }
+        return dataclasses.asdict(self)
 
 
 def _involution_lemma() -> tuple[bool, str]:

@@ -287,6 +287,25 @@ def test_every_enumerating_command_respects_budget(args, monkeypatch, capsys):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("noclone", "--m", "2", "--l", "20000000"), 3),
+        (("unitary-group", "--m", "1", "--r", "9000", "--json"), 0),
+        (("observables", "--m", "1", "--l", "20000003"), 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_huge_level_answers_without_scanning_it(args, code):
+    # the unitary scalars come in closed form, and GL's budget check runs
+    # before any scan over the l units or the l candidate conjugations
+    start = time.perf_counter()
+    proc = run_cli(*args)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code
+    assert elapsed < 2
+
+
 def test_unitary_group_budget_counts_unitaries():
     # 6144 unitaries, while GL(4) at level 8 has 98304 members
     args = ("unitary-group", "--m", "4", "--r", "2", "--json")

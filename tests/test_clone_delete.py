@@ -398,6 +398,13 @@ def test_almost_unitary_scan_finds_no_cloner():
     assert scan.pairs_checked == scan.almost_unitary_count * 4
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_almost_unitary_scan_needs_dimension_two(l):
+    # every ray is simple at m = 1, so there is no ray to scan against
+    with pytest.raises(ValueError):
+        almost_unitary_cloning_fails(1, l)
+
+
 def test_almost_unitary_scan_level_one():
     scan = almost_unitary_cloning_fails(2, 1)
     assert scan.cloning_impossible

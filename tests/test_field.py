@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from f1q.field import (
     F1Element,
     automorphism_group,
+    check_conjugation,
     classify_involution,
     elements,
     frobenius,
@@ -18,6 +19,7 @@ from f1q.field import (
     parse_element,
     totient,
     unit,
+    unitary_exponents,
     units,
     zero,
 )
@@ -207,6 +209,33 @@ def test_fixed_field_is_gcd_subfield(m, r):
     if spec.valid:
         fixed_units = [u for u in units(m) if spec(u) == u]
         assert len(fixed_units) == gcd(m, r)
+
+
+def test_check_conjugation_returns_the_exponent():
+    assert check_conjugation(None, 1) == check_conjugation(None, 12) == 1
+    assert check_conjugation(classify_involution(8, 2), 8) == 3  # v -> v^3
+    spec = classify_involution(3, 1)
+    assert all(spec(u) == u ** check_conjugation(spec, 3) for u in units(3))
+
+
+def test_unitary_exponents_match_brute_filter():
+    # every level below 200 under the identity and every valid involution
+    pairs = 0
+    for l in range(1, 200):
+        specs = (classify_involution(l, r) for r in range(1, l + 1))
+        for sigma in [None] + [spec for spec in specs if spec.valid]:
+            d = 1 if sigma is None else sigma.r + 1
+            brute = [e for e in range(l) if (d + 1) * e % l == 0]
+            assert list(unitary_exponents(sigma, l)) == brute, (l, sigma)
+            pairs += 1
+    assert pairs == 752
+
+
+def test_unitary_exponents_check_the_conjugation():
+    with pytest.raises(ValueError):
+        unitary_exponents(classify_involution(3, 1), 8)
+    with pytest.raises(ValueError):
+        unitary_exponents(classify_involution(8, 3), 8)
 
 
 def test_element_equality_is_structural():

@@ -153,6 +153,13 @@ def test_conj_applies_involution_entrywise():
     assert a.conj(None) == a
 
 
+def test_conj_and_unitary_order_check_the_conjugation():
+    with pytest.raises(ValueError):
+        MonomialMatrix.identity(2, 8).conj(classify_involution(8, 3))  # v -> v^4
+    with pytest.raises(ValueError):
+        unitary_order(2, 8, classify_involution(3, 1))  # an involution of level 3
+
+
 @pytest.mark.parametrize("m,l", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
 def test_gl_enumeration_count(m, l):
     group = enumerate_GL(m, l)
@@ -248,8 +255,7 @@ def test_unitary_slice_matches_full_list(lo, hi):
     # 24 permutations times 3^4 = 81 unitary column scalars at level 3, where
     # under v -> v^2 every unit is unitary: (r + 2) * e = 3e = 0 mod 3
     sigma = classify_involution(3, 1)
-    scalars = [unit(e, 3) for e in range(3)]
-    assert list(_unitary_slice(4, 3, scalars, lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
+    assert list(_unitary_slice(4, 3, range(3), lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
 
 
 def test_iter_unitaries_rejects_bad_conjugation():
@@ -320,6 +326,13 @@ def test_subunital_apply_never_needs_addition():
     a = SubunitalMatrix(3, 2, ((0, 1, one(2)), (2, 2, unit(1, 2))))
     y = a.apply(state([0, 0, 0], 2))
     assert y == state([0, None, 1], 2)
+
+
+@given(monomials())
+def test_monomial_cells_are_the_subunital_cells(a):
+    assert a.cells == a.to_subunital().cells
+    assert [i for i, _, _ in a.cells] == list(range(a.dim))  # row order
+    assert all(a.entry(i, j) == s for i, j, s in a.cells)
 
 
 @given(subunitals())
