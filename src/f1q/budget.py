@@ -1,14 +1,11 @@
 """Search-space budgets for the exhaustive enumerations.
 
-The default cap can be overridden per call or globally through the
-``F1Q_BUDGET`` environment variable; exceeding it raises
-``BudgetExceededError``, which the CLI maps to its own exit code so a too
-large request is distinguishable from a crash.
+The cap is ``DEFAULT_BUDGET`` unless a call passes its own ``budget``;
+exceeding it raises ``BudgetExceededError``, which the CLI maps to its own
+exit code so a too large request is distinguishable from a crash.
 """
 
 from __future__ import annotations
-
-import os
 
 __all__ = ["BudgetExceededError", "DEFAULT_BUDGET", "default_budget", "check_budget"]
 
@@ -20,16 +17,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def default_budget() -> int:
-    raw = os.environ.get("F1Q_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"F1Q_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("F1Q_BUDGET must be >= 1")
-    return value
+    return DEFAULT_BUDGET
 
 
 def check_budget(size: int, budget: int | None, *, what: str) -> None:

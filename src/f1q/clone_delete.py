@@ -28,6 +28,7 @@ from .frames import (
     basis_state,
     enumerate_rays,
     enumerate_vectors,
+    ray_count,
     ray_of,
     simple_rays,
     tensor,
@@ -48,8 +49,6 @@ __all__ = [
     "clones_rays",
     "search_projective_cloner",
     "build_simple_cloner",
-    "NonSimpleObstruction",
-    "nonsimple_defeats_cloner",
     "is_almost_unitary",
     "build_deletion_operator",
     "DeletionReport",
@@ -87,16 +86,6 @@ class CloneSearchResult:
     rays_targeted: int
 
 
-def _cloner_targets(
-    m: int, l: int, scope: str, budget: int | None
-) -> list[ProjectiveRay]:
-    if scope == "all":
-        return enumerate_rays(m, l, budget)
-    if scope == "simple":
-        return simple_rays(m, l)
-    raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
-
-
 def _sends_all(u: MonomialMatrix, pairs) -> bool:
     """Whether u maps the ray of every source state to its wanted ray."""
     return all(ray_of(u.apply(source)) == wanted for source, wanted in pairs)
@@ -117,13 +106,13 @@ def _cloner_cases(
     """All blanks, the targets, and the blanks that can still clone.
 
     Monomial operators preserve support size, so a blank whose support size
-    is not 1 fails every simple ray (the ``NonSimpleObstruction`` count), and
+    is not 1 fails every simple ray, whose clone has support size 1, and
     both scopes target the simple rays.  A simple blank w^e e_j clones e_i
     only if column i*m + j goes to row i*m + i: those are its pins.  Each
     case is (blank index, its (col, row) pins, the (phi (x) blank,
     ray of phi (x) phi) pair of every target phi).
     """
-    targets = _cloner_targets(m, l, scope, budget)
+    targets = enumerate_rays(m, l, budget) if scope == "all" else simple_rays(m, l)
     # Widest supports first: against a simple blank a non-simple target
     # always fails, so most pairs are rejected after one image.
     reps = sorted(
@@ -189,8 +178,15 @@ def search_projective_cloner(
     n = m * m
     unitaries = iter_unitaries(n, l, sigma, budget)
     unitary_count = unitary_order(n, l, sigma)
+    if scope not in ("all", "simple"):
+        raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
+    # The rays, the blanks and the pairs are counted in closed form, in the
+    # order ``_cloner_cases`` counts them, so a refused search builds nothing.
+    if scope == "all":
+        check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
+    check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
+    check_budget(unitary_count * ((l + 1) ** m - 1), budget, what="cloner search")
     blanks, targets, cases = _cloner_cases(m, l, scope, budget)
-    check_budget(unitary_count * len(blanks), budget, what="cloner search")
 
     if workers <= 1 or unitary_count < 2 * workers:
         best = _first_cloner(unitaries, 0, len(blanks), cases)
@@ -242,44 +238,12 @@ def build_simple_cloner(m: int, l: int, blank_index: int = 0) -> tuple[MonomialM
     return MonomialMatrix.from_permutation(perm, l), basis_state(blank_index, m, l)
 
 
-@dataclass(frozen=True)
-class NonSimpleObstruction:
-    """Support arithmetic ruling out any cloner for one non-simple ray.
-
-    Monomial operators permute coordinates up to unit factors, so they
-    preserve support size; a blank with one-point support makes the
-    reachable support size |supp(phi)| while the clone target needs
-    |supp(phi)|^2.
-    """
-
-    ray: ProjectiveRay
-    support_size: int
-    reachable_support_size: int
-    target_support_size: int
-
-    @property
-    def impossible(self) -> bool:
-        return self.reachable_support_size != self.target_support_size
-
-
 def _first_nonsimple_ray(m: int, l: int, budget: int | None = None) -> ProjectiveRay:
     """The first non-simple ray in enumeration order; at m = 1 every ray is
     simple, so there is none."""
     if m < 2:
         raise ValueError("non-simple rays need dimension >= 2")
     return next(r for r in enumerate_rays(m, l, budget) if not r.is_simple)
-
-
-def nonsimple_defeats_cloner(m: int, l: int) -> NonSimpleObstruction:
-    """First non-simple ray in enumeration order, with the counting record."""
-    phi = _first_nonsimple_ray(m, l)
-    size = len(phi.representative.support())
-    return NonSimpleObstruction(
-        ray=phi,
-        support_size=size,
-        reachable_support_size=size,
-        target_support_size=size * size,
-    )
 
 
 def is_almost_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:

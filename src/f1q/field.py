@@ -11,7 +11,6 @@ casing anywhere.
 
 from __future__ import annotations
 
-import re
 from dataclasses import FrozenInstanceError, dataclass
 from math import gcd
 
@@ -23,16 +22,12 @@ __all__ = [
     "unit",
     "units",
     "elements",
-    "frobenius",
-    "parse_element",
     "totient",
     "automorphism_group",
     "classify_involution",
     "check_conjugation",
     "unitary_exponents",
 ]
-
-_SCALAR_RE = re.compile(r"^(0|w\^-?\d+)$")
 
 
 class F1Element:
@@ -171,27 +166,6 @@ def units(l: int) -> list[F1Element]:
 def elements(l: int) -> list[F1Element]:
     """All l + 1 elements: zero first, then units in exponent order."""
     return [zero(l), *units(l)]
-
-
-def frobenius(d: int, x: F1Element) -> F1Element:
-    """The power map u -> u^d.
-
-    At level l, the fixed points of ``frobenius(l + 1, .)`` on any higher
-    level containing l are exactly the level-l elements.
-    """
-    if d < 1:
-        raise ValueError(f"frobenius degree must be >= 1, got {d}")
-    return x**d
-
-
-def parse_element(token: str, l: int) -> F1Element:
-    """Parse a scalar token, ``0`` or ``w^k``, at level l."""
-    token = token.strip()
-    if not _SCALAR_RE.match(token):
-        raise ValueError(f"bad scalar token {token!r} (want '0' or 'w^k')")
-    if token == "0":
-        return zero(l)
-    return unit(int(token[2:]), l)
 
 
 def totient(l: int) -> int:

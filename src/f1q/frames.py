@@ -15,7 +15,6 @@ the deletion operator's kept positions) assumes this flattening.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -26,7 +25,6 @@ from .field import (
     check_conjugation,
     elements,
     interned,
-    parse_element,
     unit,
     zero,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "ProjectiveRay",
     "state",
     "basis_state",
-    "parse_state",
     "standard_form",
     "orthogonal",
     "perp_space",
@@ -49,8 +46,6 @@ __all__ = [
     "ray_count",
     "tensor",
 ]
-
-_STATE_RE = re.compile(r"^\((?P<body>[^)]*)\)@(?P<level>\d+)$")
 
 
 @dataclass(frozen=True)
@@ -128,16 +123,6 @@ def basis_state(i: int, m: int, l: int, exp: int = 0) -> StateVector:
     return StateVector(tuple(unit(exp, l) if j == i else zero(l) for j in range(m)))
 
 
-def parse_state(text: str) -> StateVector:
-    """Parse the text format ``(e1,...,em)@l`` with entries ``0`` or ``w^k``."""
-    match = _STATE_RE.match(text.strip())
-    if not match:
-        raise ValueError(f"bad state literal {text!r}")
-    l = int(match["level"])
-    tokens = match["body"].split(",")
-    return StateVector(tuple(parse_element(t, l) for t in tokens))
-
-
 @dataclass(frozen=True)
 class FormValue:
     """Result of the partial standard form: a defined element or Undefined.
@@ -151,14 +136,6 @@ class FormValue:
     @property
     def is_defined(self) -> bool:
         return self.value is not None
-
-    @classmethod
-    def defined(cls, value: F1Element) -> "FormValue":
-        return cls(value)
-
-    @classmethod
-    def undefined(cls) -> "FormValue":
-        return cls(None)
 
     def __str__(self) -> str:
         return "undefined" if self.value is None else str(self.value)
@@ -188,8 +165,8 @@ def standard_form(
         if xi.is_unit and yi.is_unit:
             terms.append(xi**d * yi)
             if len(terms) > 1:
-                return FormValue.undefined()
-    return FormValue.defined(terms[0] if terms else zero(x.order))
+                return FormValue(None)
+    return FormValue(terms[0] if terms else zero(x.order))
 
 
 def orthogonal(x: StateVector, y: StateVector) -> bool:
@@ -214,10 +191,6 @@ class PerpSpace:
     @property
     def dimension(self) -> int:
         return len(self.free_indices)
-
-    @property
-    def simple_basis(self) -> tuple[StateVector, ...]:
-        return tuple(basis_state(i, self.of.dim, self.of.order) for i in self.free_indices)
 
     def contains(self, y: StateVector) -> bool:
         _check_compatible(self.of, y)

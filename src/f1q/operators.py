@@ -27,7 +27,6 @@ from .field import (
     classify_involution,
     interned,
     one,
-    parse_element,
     unit,
     unitary_exponents,
     zero,
@@ -48,9 +47,7 @@ __all__ = [
     "enumerate_subunital",
     "subunital_count",
     "format_matrix",
-    "parse_matrix",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -102,15 +99,6 @@ class MonomialMatrix:
     def from_permutation(cls, perm: Sequence[int], l: int) -> "MonomialMatrix":
         return cls(l, tuple(perm), tuple(one(l) for _ in perm))
 
-    @classmethod
-    def swap(cls, l: int) -> "MonomialMatrix":
-        return cls.from_permutation((1, 0), l)
-
-    @classmethod
-    def diagonal(cls, scalars: Sequence[F1Element]) -> "MonomialMatrix":
-        scalars = tuple(scalars)
-        return cls(scalars[0].order, tuple(range(len(scalars))), scalars)
-
     def entry(self, i: int, j: int) -> F1Element:
         return self.scalars[j] if self.perm[j] == i else zero(self.order)
 
@@ -155,9 +143,6 @@ class MonomialMatrix:
             inv[i] = j
             scalars[i] = self.scalars[j].inverse()
         return MonomialMatrix(self.order, tuple(inv), tuple(scalars))
-
-    def to_subunital(self) -> "SubunitalMatrix":
-        return SubunitalMatrix(self.dim, self.order, self.cells)
 
 
 @dataclass(frozen=True)
@@ -356,33 +341,9 @@ def format_matrix(a: AnyMatrix) -> str:
     return "\n".join(lines)
 
 
-def parse_matrix(text: str) -> SubunitalMatrix:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or "@" not in lines[0]:
-        raise ValueError("matrix text must start with a dim@l header")
-    dim_s, l_s = lines[0].split("@", 1)
-    dim, l = int(dim_s), int(l_s)
-    cells = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad matrix line {ln!r} (want 'row col w^k')")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        cells.append((i, j, parse_element(parts[2], l)))
-    return SubunitalMatrix(dim, l, tuple(cells))
-
-
 def matrix_to_json(a: AnyMatrix) -> dict:
     return {
         "dim": a.dim,
         "l": a.order,
         "entries": [[i + 1, j + 1, str(s)] for i, j, s in a.cells],
     }
-
-
-def matrix_from_json(obj: dict) -> SubunitalMatrix:
-    dim, l = int(obj["dim"]), int(obj["l"])
-    cells = tuple(
-        (int(i) - 1, int(j) - 1, parse_element(tok, l)) for i, j, tok in obj["entries"]
-    )
-    return SubunitalMatrix(dim, l, cells)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from f1q.budget import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    check_budget,
-    default_budget,
-)
+from f1q.budget import BudgetExceededError, check_budget
 
 
 def test_check_passes_under_budget():
@@ -19,17 +14,3 @@ def test_check_raises_over_budget():
     with pytest.raises(BudgetExceededError):
         check_budget(101, 100, what="test scan")
 
-
-def test_default_budget_from_environment(monkeypatch):
-    monkeypatch.delenv("F1Q_BUDGET", raising=False)
-    assert default_budget() == DEFAULT_BUDGET
-    monkeypatch.setenv("F1Q_BUDGET", "1234")
-    assert default_budget() == 1234
-    with pytest.raises(BudgetExceededError):
-        check_budget(2000, None, what="env-capped scan")
-
-
-def test_bad_environment_value_rejected(monkeypatch):
-    monkeypatch.setenv("F1Q_BUDGET", "not-a-number")
-    with pytest.raises(ValueError):
-        default_budget()

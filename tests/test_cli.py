@@ -222,7 +222,7 @@ def test_dimension_below_range_exits_2(args, capsys):
     "flag,value", [("--budget", "-5"), ("--budget", "0"), ("--workers", "-3"), ("--workers", "0")]
 )
 def test_budget_and_workers_below_one_exit_2(flag, value, capsys):
-    # the same rule as F1Q_BUDGET: a count below 1 is a usage error
+    # a count below 1 is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["noclone", "--m", "2", "--l", "2", flag, value, "--json"])
     assert exc.value.code == 2
@@ -237,16 +237,23 @@ def test_budget_exceeded_exit_3():
 
 
 def test_budget_environment_variable():
-    proc = run_cli(
-        "noclone", "--m", "2", "--l", "2", env_extra={"F1Q_BUDGET": "10"}
-    )
-    assert proc.returncode == 3
+    # F1Q_BUDGET is no input: --budget is the only way to set the cap
+    args = ("noclone", "--m", "2", "--l", "2")
+    assert run_cli(*args, env_extra={"F1Q_BUDGET": "10"}).returncode == 0
+    assert run_cli(*args, "--budget", "10").returncode == 3
+
+
+def test_selftest_ignores_budget_environment_variable():
+    proc = run_cli("selftest", "--json", env_extra={"F1Q_BUDGET": "100"})
+    assert proc.returncode == 0
+    criteria = json.loads(proc.stdout)["criteria"]
+    assert len(criteria) == 7 and all(c["ok"] for c in criteria)
 
 
 def test_delete_verify_respects_budget():
     # 156 rays at m=4, l=4
     args = ("delete", "verify", "--m", "4", "--l", "4")
-    assert run_cli(*args, env_extra={"F1Q_BUDGET": "100"}).returncode == 3
+    assert run_cli(*args, "--budget", "100").returncode == 3
     proc = run_cli(*args, "--budget", "10", "--json")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["status"] == "budget-exceeded"
@@ -257,7 +264,7 @@ def test_delete_verify_respects_budget():
 )
 def test_field_listings_respect_budget(args):
     # 5041 and 721 elements: refused under a budget of 100, fine by default
-    proc = run_cli(*args, "--json", env_extra={"F1Q_BUDGET": "100"})
+    proc = run_cli(*args, "--json", "--budget", "100")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["status"] == "budget-exceeded"
     assert run_cli(*args, "--json").returncode == 0
@@ -277,10 +284,9 @@ def test_field_listings_respect_budget(args):
     ],
     ids=lambda args: " ".join(args),
 )
-def test_every_enumerating_command_respects_budget(args, monkeypatch, capsys):
-    monkeypatch.setenv("F1Q_BUDGET", "100")
+def test_every_enumerating_command_respects_budget(args, capsys):
     start = time.perf_counter()
-    code = main([*args, "--json"])
+    code = main([*args, "--json", "--budget", "100"])
     elapsed = time.perf_counter() - start
     assert code == 3
     assert json.loads(capsys.readouterr().out)["status"] == "budget-exceeded"
@@ -304,6 +310,43 @@ def test_huge_level_answers_without_scanning_it(args, code):
     elapsed = time.perf_counter() - start
     assert proc.returncode == code
     assert elapsed < 2
+
+
+@pytest.mark.parametrize(
+    "l,detail",
+    [
+        ("1000", "cloner search needs 384768000 candidates"),
+        ("1000000", "vectors of dimension 2 at level 1000000 needs 1000002000001 candidates"),
+    ],
+    ids=["l=1000", "l=1000000"],
+)
+def test_noclone_refuses_before_building(l, detail, capsys):
+    # the rays, blanks and pairs are counted in closed form, so a refused
+    # search builds none of its million blanks or rays
+    start = time.perf_counter()
+    code = main(["noclone", "--m", "2", "--l", l, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "budget-exceeded",
+        "detail": f"{detail}, budget is 10000000",
+    }
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("m,code", [("100000000", 2), ("4301", 2), ("4300", 0)])
+def test_delete_prob_refuses_fractions_too_long_to_print(m, code, capsys):
+    # at l = 9 the fraction in lowest terms has m digits; 4300 is Python's
+    # default limit on integer string conversion
+    start = time.perf_counter()
+    assert main(["delete", "prob", "--m", m, "--l", "9", "--json"]) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "more than 4300 digits" in err
+    else:
+        assert len(str(json.loads(out)["probability"]["den"])) == 4300
+    assert elapsed < 1
 
 
 def test_unitary_group_budget_counts_unitaries():

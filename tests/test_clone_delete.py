@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
     CloneSearchResult,
+    _first_nonsimple_ray,
     _scan_cloner_chunk,
     almost_unitary_cloning_fails,
     build_deletion_operator,
@@ -19,7 +20,6 @@ from f1q.clone_delete import (
     is_almost_unitary,
     limit_l_infinity,
     limit_m_infinity,
-    nonsimple_defeats_cloner,
     probability_a1,
     scalar_obstruction,
     search_projective_cloner,
@@ -230,18 +230,16 @@ def test_built_simple_cloner_alternate_blank():
 
 @pytest.mark.parametrize("m,l", [(2, 1), (2, 2), (3, 2)])
 def test_nonsimple_rays_defeat_all_monomial_cloners(m, l):
-    obstruction = nonsimple_defeats_cloner(m, l)
-    assert not obstruction.ray.is_simple
-    assert obstruction.support_size >= 2
-    assert obstruction.impossible
-    # support arithmetic: monomial images keep |supp| * 1, the target needs |supp|^2
-    assert obstruction.reachable_support_size == obstruction.support_size
-    assert obstruction.target_support_size == obstruction.support_size**2
-
-
-def test_nonsimple_obstruction_needs_dimension_two():
-    with pytest.raises(ValueError):
-        nonsimple_defeats_cloner(1, 2)
+    # support arithmetic: against a simple blank a monomial image keeps
+    # |supp(phi)| points, while the clone target needs |supp(phi)|^2
+    phi = _first_nonsimple_ray(m, l)
+    rep = phi.representative
+    size = len(rep.support())
+    assert not phi.is_simple and size >= 2
+    assert len(tensor(rep, rep).support()) == size**2
+    u, blank = build_simple_cloner(m, l)
+    assert len(u.apply(tensor(rep, blank)).support()) == size
+    assert not clones_rays(u, blank, [phi])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -347,9 +345,9 @@ def test_probability_approaches_m_limit_monotonically(m, l):
 
 
 def test_almost_unitary_of_nonsingular_is_unitarity():
-    sw = MonomialMatrix.swap(2)
+    sw = MonomialMatrix.from_permutation((1, 0), 2)
     assert is_almost_unitary(sw) == is_unitary(sw)
-    d = MonomialMatrix.diagonal((unit(1, 4),))
+    d = MonomialMatrix(4, (0,), (unit(1, 4),))
     assert not is_unitary(d)  # w^2 != w^0
     assert not is_almost_unitary(d)
 

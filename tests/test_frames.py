@@ -14,7 +14,6 @@ from f1q.frames import (
     enumerate_rays,
     enumerate_vectors,
     orthogonal,
-    parse_state,
     perp_space,
     ray_count,
     ray_of,
@@ -76,33 +75,6 @@ def test_zero_and_basis_states():
     assert basis_state(1, 3, 2, exp=1)[1] == unit(1, 2)
     with pytest.raises(ValueError):
         basis_state(3, 3, 2)
-
-
-@given(states())
-def test_parse_round_trips(s):
-    assert parse_state(str(s)) == s
-
-
-def test_parse_rejects_garbage():
-    for bad in ("", "()@2", "(w^0,0)", "(w^0;0)@2", "w^0,0@2", "(w^0,0)@0"):
-        with pytest.raises(ValueError):
-            parse_state(bad)
-
-
-numerals = st.integers(min_value=-2, max_value=14).map(str)
-tokens = st.one_of(st.just("0"), numerals.map("w^{}".format), st.text(max_size=3))
-state_texts = st.builds(
-    lambda entries, l: "(" + ",".join(entries) + f")@{l}", st.lists(tokens), numerals
-)
-
-
-@given(st.one_of(st.text(), state_texts))
-def test_parse_state_raises_only_value_error(text):
-    try:
-        s = parse_state(text)
-    except ValueError:
-        return
-    assert parse_state(str(s)) == s
 
 
 @given(states())
@@ -173,8 +145,7 @@ def test_perp_space():
     assert p.dimension == 2
     assert p.free_indices == (1, 2)
     assert p.vector_count == 16  # (3+1)^2
-    assert len(p.simple_basis) == 2
-    assert all(orthogonal(x, b) for b in p.simple_basis)
+    assert all(orthogonal(x, basis_state(i, 4, 3)) for i in p.free_indices)
     vectors = list(p.vectors())
     assert len(vectors) == 16
     assert all(p.contains(v) for v in vectors)

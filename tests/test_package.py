@@ -37,6 +37,23 @@ def test_only_selftest_imports_oracles():
     assert importers == {"selftest.py"}
 
 
+def test_no_module_reads_the_environment():
+    # inputs arrive as arguments and CLI flags only, never as variables
+    readers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        attrs = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        }
+        if attrs & {"environ", "getenv"} or imported_names(path) & {"os.environ", "os.getenv"}:
+            readers.add(path.name)
+    assert readers == set()
+
+
 def test_every_public_name_resolves():
     # The package re-exports nothing: each module's __all__ is its public list.
     assert f1q.__all__ == ["__version__"]
