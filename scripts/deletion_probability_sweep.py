@@ -16,10 +16,17 @@ from f1q.clone_delete import limit_m_infinity, probability_a1, verify_deletion
 AUDIT_CAP = 2000  # audit per ray only while the ray count stays desk-sized
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=6)
-    parser.add_argument("--max-l", type=int, default=6)
+    parser.add_argument("--max-m", type=positive_int, default=6)
+    parser.add_argument("--max-l", type=positive_int, default=6)
     parser.add_argument("--csv", type=argparse.FileType("w"), default=None,
                         help="also write the sweep as CSV to this path")
     args = parser.parse_args()

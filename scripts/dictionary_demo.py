@@ -19,9 +19,12 @@ def main() -> int:
         help="primes q to instantiate (default: 2 3 5)",
     )
     args = parser.parse_args()
+    try:
+        tables = [dictionary_table(q) for q in args.primes]
+    except ValueError as exc:  # q not prime, or above the largest supported
+        parser.error(str(exc))
 
-    for q in args.primes:
-        table = dictionary_table(q)
+    for q, table in zip(args.primes, tables):
         print(f"q = {q} (r = {table.r}, modulus {table.modulus})")
         print(table.to_markdown())
         status = "aligned" if table.aligned else "MISALIGNED"

@@ -13,12 +13,19 @@ from f1q.clone_delete import scalar_obstruction, search_projective_cloner
 from f1q.operators import format_matrix
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=2, help="largest frame dimension")
-    parser.add_argument("--max-l", type=int, default=2, help="largest field level")
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--max-m", type=positive_int, default=2, help="largest frame dimension")
+    parser.add_argument("--max-l", type=positive_int, default=2, help="largest field level")
+    parser.add_argument("--budget", type=positive_int, default=None)
+    parser.add_argument("--workers", type=positive_int, default=1)
     parser.add_argument("--show-witness", action="store_true")
     args = parser.parse_args()
 

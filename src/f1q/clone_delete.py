@@ -16,9 +16,11 @@ simply is not a ray.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .budget import check_budget
 from .field import F1Element, InvolutionSpec, one, unitary_exponents, units
@@ -27,7 +29,6 @@ from .frames import (
     StateVector,
     basis_state,
     enumerate_rays,
-    enumerate_vectors,
     ray_count,
     ray_of,
     simple_rays,
@@ -37,9 +38,8 @@ from .operators import (
     AnyMatrix,
     MonomialMatrix,
     SubunitalMatrix,
-    _unitary_slice,
+    _wreath,
     enumerate_subunital,
-    iter_unitaries,
     unitary_order,
 )
 
@@ -102,14 +102,16 @@ def clones_rays(
 
 def _cloner_cases(
     m: int, l: int, scope: str, budget: int | None
-) -> tuple[list[StateVector], list[ProjectiveRay], list[tuple]]:
-    """All blanks, the targets, and the blanks that can still clone.
+) -> tuple[list[ProjectiveRay], list[tuple]]:
+    """The targets, and the blanks that can still clone.
 
     Monomial operators preserve support size, so a blank whose support size
     is not 1 fails every simple ray, whose clone has support size 1, and
-    both scopes target the simple rays.  A simple blank w^e e_j clones e_i
-    only if column i*m + j goes to row i*m + i: those are its pins.  Each
-    case is (blank index, its (col, row) pins, the (phi (x) blank,
+    both scopes target the simple rays.  Only the m*l simple blanks w^e e_j
+    are built, j down and e up, each with its ``enumerate_vectors`` index
+    (1 + e)(l+1)^(m-1-j) - 1, which that order lists.  A simple blank clones
+    e_i only if column i*m + j goes to row i*m + i: those are its pins.  Each
+    case is (blank index, blank, its (col, row) pins, the (phi (x) blank,
     ray of phi (x) phi) pair of every target phi).
     """
     targets = enumerate_rays(m, l, budget) if scope == "all" else simple_rays(m, l)
@@ -119,42 +121,37 @@ def _cloner_cases(
         (phi.representative for phi in targets), key=lambda rep: -len(rep.support())
     )
     clones = [ray_of(tensor(rep, rep)) for rep in reps]
-    blanks = enumerate_vectors(m, l, budget=budget)
     cases = []
-    for bi, blank in enumerate(blanks):
-        support = blank.support()
-        if len(support) != 1:
-            continue
-        pins = [(i * m + support[0], i * m + i) for i in range(m)]
-        pairs = [(tensor(rep, blank), clone) for rep, clone in zip(reps, clones)]
-        cases.append((bi, pins, pairs))
-    return blanks, targets, cases
+    for j in range(m - 1, -1, -1):
+        pins = [(i * m + j, i * m + i) for i in range(m)]
+        for e in range(l):
+            blank = basis_state(j, m, l, e)
+            pairs = [(tensor(rep, blank), clone) for rep, clone in zip(reps, clones)]
+            cases.append(((1 + e) * (l + 1) ** (m - 1 - j) - 1, blank, pins, pairs))
+    return targets, cases
 
 
 def _first_cloner(
-    unitaries, start: int, blank_count: int, cases: list[tuple]
-) -> int | None:
-    """Smallest pair index ui * blank_count + bi of a cloning (unitary, blank)
-    pair, numbering the unitaries from ``start``."""
-    for ui, u in enumerate(unitaries, start):
+    job: tuple[int, int, InvolutionSpec | None, list[tuple], int, int],
+) -> tuple[int, MonomialMatrix, StateVector] | None:
+    """Scan the unitaries whose permutation has lexicographic rank ``part``
+    mod ``parts``; return (pair index, unitary, blank) of the first cloning
+    pair.  The pair index (rank * |U|^(m^2) + scalar rank) * blank count +
+    blank index orders the pairs of all parts canonically."""
+    m, l, sigma, cases, part, parts = job
+    n = m * m
+    exps = unitary_exponents(sigma, l)
+    per_perm = len(exps) ** n
+    blank_count = (l + 1) ** m - 1
+    perms = itertools.islice(itertools.permutations(range(n)), part, None, parts)
+    for ui, u in enumerate(_wreath(n, l, exps, perms)):
         perm = u.perm
-        for bi, pins, pairs in cases:
+        for bi, blank, pins, pairs in cases:
             if all(perm[col] == row for col, row in pins) and _sends_all(u, pairs):
-                return ui * blank_count + bi
+                k, scalar_rank = divmod(ui, per_perm)
+                index = ((part + k * parts) * per_perm + scalar_rank) * blank_count + bi
+                return index, u, blank
     return None
-
-
-def _scan_cloner_chunk(
-    args: tuple[int, int, InvolutionSpec | None, str, int, int],
-) -> int | None:
-    """Scan unitary indices [lo, hi); return the smallest witness pair index.
-
-    The caller has already checked the arguments and the budget.
-    """
-    m, l, sigma, scope, lo, hi = args
-    blanks, _, cases = _cloner_cases(m, l, scope, None)
-    unitaries = _unitary_slice(m * m, l, unitary_exponents(sigma, l), lo, hi)
-    return _first_cloner(unitaries, lo, len(blanks), cases)
 
 
 def search_projective_cloner(
@@ -170,14 +167,18 @@ def search_projective_cloner(
     scope='all' asks for a universal cloner over every ray and is expected to
     find none; scope='simple' restricts the demand to the m simple rays and
     is expected to find a witness.  The witness returned is always the first
-    in canonical enumeration order (unitaries outer, blanks inner), and the
-    worker count never changes the answer, only the wall time.  Pairs that
+    in canonical enumeration order (unitaries outer, blanks inner).  Part k
+    of K = min(workers, (m^2)!) scans the permutations of rank k mod K
+    against the cases built here under the caller's budget, so the worker
+    count never changes the answer, only the wall time.  Pairs that
     provably fail (a non-simple blank, or a unitary that breaks a simple
     blank's pins) are counted as searched without computing their images.
     """
     n = m * m
-    unitaries = iter_unitaries(n, l, sigma, budget)
+    if n < 1 or l < 1:
+        raise ValueError("m and l must be >= 1")
     unitary_count = unitary_order(n, l, sigma)
+    check_budget(unitary_count, budget, what=f"U({n}) at level {l}")
     if scope not in ("all", "simple"):
         raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
     # The rays, the blanks and the pairs are counted in closed form, in the
@@ -185,30 +186,24 @@ def search_projective_cloner(
     if scope == "all":
         check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
     check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
-    check_budget(unitary_count * ((l + 1) ** m - 1), budget, what="cloner search")
-    blanks, targets, cases = _cloner_cases(m, l, scope, budget)
+    blank_count = (l + 1) ** m - 1
+    check_budget(unitary_count * blank_count, budget, what="cloner search")
+    targets, cases = _cloner_cases(m, l, scope, budget)
 
-    if workers <= 1 or unitary_count < 2 * workers:
-        best = _first_cloner(unitaries, 0, len(blanks), cases)
+    parts = min(max(workers, 1), factorial(n))
+    jobs = [(m, l, sigma, cases, k, parts) for k in range(parts)]
+    if parts == 1:
+        hits = map(_first_cloner, jobs)
     else:
-        bounds = [
-            (unitary_count * k // workers, unitary_count * (k + 1) // workers)
-            for k in range(workers)
-        ]
-        jobs = [(m, l, sigma, scope, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = [h for h in pool.map(_scan_cloner_chunk, jobs) if h is not None]
-        best = min(hits) if hits else None
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            hits = list(pool.map(_first_cloner, jobs))
+    best = min((hit for hit in hits if hit is not None), default=None)
 
-    witness_u = witness_b = None
-    if best is not None:
-        ui, bi = divmod(best, len(blanks))
-        witness_u = next(_unitary_slice(n, l, unitary_exponents(sigma, l), ui, ui + 1))
-        witness_b = blanks[bi]
-        # The scan's pins and precomputed pairs are a fast path; the
-        # definition has the last word on a witness.
-        if not clones_rays(witness_u, witness_b, targets):
-            raise AssertionError(f"cloner scan returned a non-cloning pair at {best}")
+    index, witness_u, witness_b = best or (None, None, None)
+    # The scan's pins and precomputed pairs are a fast path; the definition
+    # has the last word on a witness.
+    if best is not None and not clones_rays(witness_u, witness_b, targets):
+        raise AssertionError(f"cloner scan returned a non-cloning pair at {index}")
     return CloneSearchResult(
         m=m,
         l=l,
@@ -217,7 +212,7 @@ def search_projective_cloner(
         witness_operator=witness_u,
         witness_blank=witness_b,
         unitaries_searched=unitary_count,
-        blanks_searched=len(blanks),
+        blanks_searched=blank_count,
         rays_targeted=len(targets),
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .budget import check_budget
 from .field import (
@@ -37,6 +37,7 @@ __all__ = [
     "MonomialMatrix",
     "SubunitalMatrix",
     "AnyMatrix",
+    "iter_GL",
     "enumerate_GL",
     "gl_order",
     "is_unitary",
@@ -213,12 +214,18 @@ def gl_order(m: int, l: int) -> int:
     return l**m * factorial(m)
 
 
-def enumerate_GL(m: int, l: int, budget: int | None = None) -> list[MonomialMatrix]:
-    """All invertible monomial matrices, permutations outer, scalars inner."""
+def iter_GL(m: int, l: int, budget: int | None = None) -> Iterator[MonomialMatrix]:
+    """All invertible monomial matrices, permutations outer, scalars inner,
+    built one at a time; arguments and budget are checked at the call."""
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(gl_order(m, l), budget, what=f"GL({m}) at level {l}")
-    return list(_unitary_slice(m, l, range(l), 0, None))
+    return _wreath(m, l, range(l))
+
+
+def enumerate_GL(m: int, l: int, budget: int | None = None) -> list[MonomialMatrix]:
+    """``iter_GL`` as a list."""
+    return list(iter_GL(m, l, budget))
 
 
 def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
@@ -248,37 +255,34 @@ def iter_unitaries(
 
     The group is the wreath product of the unitary scalar subgroup with S_m,
     so it is generated directly rather than filtered out of GL; the order is
-    the same as filtering ``enumerate_GL`` with ``is_unitary``.  Arguments
+    the same as filtering ``iter_GL`` with ``is_unitary``.  Arguments
     and the budget are checked at call time, before anything is built.
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
-    return _unitary_slice(m, l, unitary_exponents(sigma, l), 0, None)
+    return _wreath(m, l, unitary_exponents(sigma, l))
 
 
-def _unitary_slice(
-    m: int, l: int, exps: Sequence[int], lo: int, hi: int | None
+def _wreath(
+    m: int, l: int, exps: Sequence[int], perms: Iterable[tuple[int, ...]] | None = None
 ) -> Iterator[MonomialMatrix]:
-    """Members lo <= k < hi of the wreath product of the units w^e, e in
-    ``exps``, with S_m, unchecked: ``iter_unitaries`` with the unitary
-    exponents, ``enumerate_GL`` with every exponent.  Each permutation owns
-    len(exps)^m consecutive members, so the permutations wholly before ``lo``
-    are skipped outright, and only the members in the slice are built as
-    matrices.
+    """The wreath product of the units w^e, e in ``exps``, with S_m, unchecked:
+    ``iter_unitaries`` with the unitary exponents, ``iter_GL`` with every
+    exponent.  The permutations are outer, in lexicographic order unless
+    ``perms`` is given, and the column scalars inner; each member is built
+    only when it is reached.
     """
     table = interned(l)
     scalars = [table[e] for e in exps]
-    per_perm = len(scalars) ** m
-    skipped = lo // per_perm * per_perm
-    perms = itertools.islice(itertools.permutations(range(m)), lo // per_perm, None)
+    if perms is None:
+        perms = itertools.permutations(range(m))
     fields = (
         (l, perm, column_scalars)
         for perm in perms
         for column_scalars in itertools.product(scalars, repeat=m)
     )
-    stop = None if hi is None else hi - skipped
-    return itertools.starmap(MonomialMatrix, itertools.islice(fields, lo - skipped, stop))
+    return itertools.starmap(MonomialMatrix, fields)
 
 
 def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMatrix]:

@@ -8,10 +8,12 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from f1q import budget
 from f1q.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "f1q"]
@@ -364,23 +366,39 @@ def test_payloads_are_byte_identical_across_runs():
     assert first == second
 
 
-@pytest.mark.parametrize("workers", ["2", "3"])
-def test_workers_never_change_payload(workers):
-    base = run_cli("noclone", "--m", "2", "--l", "2", "--scope", "simple", "--json")
-    parallel = run_cli(
-        "noclone",
-        "--m",
-        "2",
-        "--l",
-        "2",
-        "--scope",
-        "simple",
-        "--json",
-        "--workers",
-        workers,
-    )
-    assert base.stdout == parallel.stdout
-    assert parallel.returncode == 0
+@pytest.mark.parametrize(
+    "workers,options,default_budget",
+    [
+        pytest.param("2", ["--scope", "simple"], None, id="2"),
+        pytest.param("3", ["--scope", "simple"], None, id="3"),
+        # A --budget far above the default must reach every worker.
+        pytest.param("2", ["--budget", "1000000"], 5, id="budget-2"),
+        pytest.param("3", ["--budget", "1000000"], 5, id="budget-3"),
+    ],
+)
+def test_workers_never_change_payload(
+    workers, options, default_budget, monkeypatch, capsys
+):
+    if default_budget is not None:
+        monkeypatch.setattr(budget, "DEFAULT_BUDGET", default_budget)
+    argv = ["noclone", "--m", "2", "--l", "2", *options, "--json"]
+    assert main(argv) == 0
+    base = capsys.readouterr().out
+    assert main([*argv, "--workers", workers]) == 0
+    assert capsys.readouterr().out == base
+
+
+def test_observables_memory_is_bounded_by_the_answer(capsys):
+    # GL(4) at level 6 has 31,104 members and 268 are observables; the filter
+    # reads GL as it is walked, so GL is never held at once.
+    tracemalloc.start()
+    try:
+        assert main(["observables", "--m", "4", "--l", "6", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["count"] == 268
+    assert peak < 2_000_000
 
 
 def test_elapsed_goes_to_stderr_not_stdout():

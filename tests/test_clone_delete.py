@@ -1,5 +1,6 @@
 """No-cloning searches and the almost-unitary deletion operator."""
 
+import itertools
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f1q import budget
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
     CloneSearchResult,
+    _cloner_cases,
+    _first_cloner,
     _first_nonsimple_ray,
-    _scan_cloner_chunk,
     almost_unitary_cloning_fails,
     build_deletion_operator,
     build_simple_cloner,
@@ -179,10 +182,25 @@ def test_search_respects_budget():
         search_projective_cloner(2, 3, budget=359)
 
 
+def test_workers_run_under_the_callers_budget(monkeypatch):
+    # Every part reads the cases the caller built under its own budget; a
+    # part that rebuilt them under the default budget would refuse here.
+    monkeypatch.setattr(budget, "DEFAULT_BUDGET", 5)
+    seq = search_projective_cloner(2, 2, scope="all", budget=10**6, workers=1)
+    assert (seq.unitaries_searched, seq.blanks_searched) == (384, 8)
+    for workers in (2, 3):
+        par = search_projective_cloner(2, 2, scope="all", budget=10**6, workers=workers)
+        for f in fields(CloneSearchResult):
+            assert getattr(par, f.name) == getattr(seq, f.name), (workers, f.name)
+
+
 def test_worker_chunk_builds_only_its_slice(monkeypatch):
-    # At m=2, l=3 under v -> v^2 each of the 24 permutations of the tensor
-    # space owns 3^4 = 81 consecutive unitaries.  The chunk [1000, 1944)
-    # skips the 12 permutations before it and builds no matrix below 1000.
+    # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
+    # permutations of the tensor space owns 3^4 = 81 unitaries.  Part 1 of 2
+    # takes the 12 permutations of odd rank; no cloner exists, so it builds
+    # all of their unitaries and nothing else.
+    sigma = classify_involution(3, 1)
+    _, cases = _cloner_cases(2, 3, "all", None)
     built = []
     post_init = MonomialMatrix.__post_init__
 
@@ -191,11 +209,10 @@ def test_worker_chunk_builds_only_its_slice(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
-    sigma = classify_involution(3, 1)
-    lo, hi = 1000, 1944
-    assert _scan_cloner_chunk((2, 3, sigma, "all", lo, hi)) is None
-    assert len(built) <= hi - lo + 81
-    assert built[0] == (2, 0, 1, 3)  # permutation number 12 of range(4)
+    assert _first_cloner((2, 3, sigma, cases, 1, 2)) is None
+    assert len(built) == 12 * 81
+    ranks = {perm: rank for rank, perm in enumerate(itertools.permutations(range(4)))}
+    assert {ranks[perm] for perm in built} == set(range(1, 24, 2))
 
 
 def test_deletion_audit_respects_budget():

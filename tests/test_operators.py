@@ -18,7 +18,7 @@ from f1q.operators import (
     gl_order,
     is_observable,
     is_unitary,
-    _unitary_slice,
+    iter_GL,
     iter_unitaries,
     matrix_to_json,
     subunital_count,
@@ -161,6 +161,25 @@ def test_gl_enumeration_count(m, l):
     assert len(set(group)) == len(group)
     # permutations outer, column exponents inner, each in lexicographic order
     assert group == sorted(group, key=lambda a: (a.perm, [s.exp for s in a.scalars]))
+    assert list(iter_GL(m, l)) == group
+
+
+def test_iter_gl_is_lazy_and_checks_budget_at_call(monkeypatch):
+    with pytest.raises(BudgetExceededError):
+        iter_GL(4, 2, budget=383)  # raised at the call, before any yield
+    built = []
+    post_init = MonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.perm)
+        post_init(self)
+
+    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
+    gl = iter_GL(4, 2, budget=384)
+    assert built == []
+    first = next(gl)
+    assert built == [(0, 1, 2, 3)]
+    assert first == MonomialMatrix.identity(4, 2)
 
 
 def test_gl_frozen_order():
@@ -242,14 +261,6 @@ def test_unitaries_checked_against_budget_not_gl():
         unitary_group(4, 2, budget=6143)
     with pytest.raises(BudgetExceededError):
         iter_unitaries(4, 8, budget=100)  # raised at the call, before any yield
-
-
-@pytest.mark.parametrize("lo,hi", [(0, 1944), (0, 81), (80, 82), (1000, 1944), (1943, 1944)])
-def test_unitary_slice_matches_full_list(lo, hi):
-    # 24 permutations times 3^4 = 81 unitary column scalars at level 3, where
-    # under v -> v^2 every unit is unitary: (r + 2) * e = 3e = 0 mod 3
-    sigma = classify_involution(3, 1)
-    assert list(_unitary_slice(4, 3, range(3), lo, hi)) == list(iter_unitaries(4, 3, sigma))[lo:hi]
 
 
 def test_iter_unitaries_rejects_bad_conjugation():

@@ -10,6 +10,20 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
 @pytest.mark.parametrize(
     "script,args,line",
     [
@@ -32,16 +46,27 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, line):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "script,args,message",
+    [
+        ("noclone_search.py", ["--budget", "0"], "argument --budget: must be >= 1, got 0"),
+        ("noclone_search.py", ["--workers", "0"], "argument --workers: must be >= 1, got 0"),
+        (
+            "deletion_probability_sweep.py",
+            ["--max-m", "0"],
+            "argument --max-m: must be >= 1, got 0",
+        ),
+        ("dictionary_demo.py", ["--primes", "2", "4"], "q must be prime, got 4"),
+    ],
+)
+def test_script_rejects_bad_numbers_with_exit_2(script, args, message):
+    proc = run_script(script, args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(message)
+    assert "Traceback" not in proc.stderr
