@@ -9,6 +9,7 @@ with their search-space sizes so the asymmetry is visible at a glance.
 import argparse
 import sys
 
+from f1q.budget import BudgetExceededError
 from f1q.clone_delete import scalar_obstruction, search_projective_cloner
 from f1q.operators import format_matrix
 
@@ -29,6 +30,14 @@ def main() -> int:
     parser.add_argument("--show-witness", action="store_true")
     args = parser.parse_args()
 
+    try:
+        return search_grid(args)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+
+
+def search_grid(args: argparse.Namespace) -> int:
     for m in range(2, args.max_m + 1):
         for l in range(1, args.max_l + 1):
             full = search_projective_cloner(

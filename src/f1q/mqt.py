@@ -2,11 +2,11 @@
 
 Small quadratic extensions F_{q^2} carry the conjugation x -> x^q with fixed
 field F_q, a total Hermitian form, and a Born-style value sigma(h)*h that
-always lands in the fixed field.  Filtering monomial matrices over F_{q^2}
-for unitarity by dense matrix arithmetic shows the allowed scalars are
-exactly the (q+1)-st roots of unity, the same cyclic group mu_{r+2} that the
-monoid-field unitary groups carry at r = q - 1.  ``dictionary_table`` lines
-the two theories up side by side and machine-checks that alignment.
+always lands in the fixed field.  Searching the monomial matrices over
+F_{q^2} for unitarity by dense matrix arithmetic shows the allowed scalars
+are exactly the (q+1)-st roots of unity, the same cyclic group mu_{r+2} that
+the monoid-field unitary groups carry at r = q - 1.  ``dictionary_table``
+lines the two theories up side by side and machine-checks that alignment.
 
 Elements of F_{q^2} are coefficient pairs (c0, c1) meaning c0 + c1*t, with t
 a root of the field's modulus polynomial t^2 + b*t + c.  Addition works on
@@ -15,14 +15,13 @@ field holds the powers g^k of the first primitive element g in ``units()``
 order, their inverse ``log``, and the Zech logarithms Z(k) = log(1 + g^k)
 (Lidl and Niederreiter, *Finite Fields*).  A product of units is a sum of
 logs mod q^2 - 1, the conjugation is e -> q*e, and a sum of units is
-g^a + g^b = g^(a + Z(b - a)).  The dense unitarity scan runs entirely on
-logs; the polynomial product only builds the tables.
+g^a + g^b = g^(a + Z(b - a)).  The unitarity search runs entirely on logs;
+the polynomial product only builds the tables.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -213,7 +212,7 @@ def born_value(field: GFField, x: GFVector, y: GFVector) -> GFElement:
 
 @dataclass(frozen=True)
 class MonomialUnitaryScan:
-    """Dense-arithmetic filter of monomial matrices over F_{q^2}."""
+    """The unitary monomial matrices over F_{q^2}: how many, and their scalars."""
 
     q: int
     m: int
@@ -225,38 +224,61 @@ class MonomialUnitaryScan:
         return len(self.allowed_scalars)
 
 
-def _dense_monomial(
-    perm: tuple[int, ...], exps: tuple[int, ...]
-) -> list[list[int | None]]:
-    """The dense matrix of logs, None marking the zero entries."""
-    m = len(perm)
-    rows: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for j in range(m):
-        rows[perm[j]][j] = exps[j]
-    return rows
+def _unitary_columns(field: GFField, m: int) -> tuple[int, set[int]]:
+    """Count the unitary monomial m x m matrices over the field and collect
+    the logs of their scalars, placing one column at a time.
 
-
-def _is_dense_unitary(field: GFField, a: list[list[int | None]]) -> bool:
-    # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j], compared to identity.
-    # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
+    Column j takes a free row and a log.  As it lands, the entries (j, j),
+    then (i, j) and (j, i) for each placed i < j, of A*A are summed densely,
+    over all m rows, with the Zech table.  Every completion of the prefix
+    shares those entries, so the first one that differs from the identity
+    prunes the subtree, and the search stays exhaustive.
+    """
     q, n, zech = field.q, len(field.exp), field.zech
-    m = len(a)
-    for i in range(m):
-        for j in range(m):
-            total = None
-            for k in range(m):
-                x, y = a[k][i], a[k][j]
-                if x is None or y is None:
-                    continue
-                term = (q * x + y) % n
-                if total is None:
-                    total = term
-                else:
-                    z = zech[(term - total) % n]
-                    total = None if z is None else (total + z) % n
-            if total != (0 if i == j else None):
-                return False
-    return True
+    a: list[list[int | None]] = [[None] * m for _ in range(m)]
+    free = [True] * m
+    exps = [0] * m
+    count = 0
+    seen: set[int] = set()
+
+    def gram(i: int, j: int) -> int | None:
+        # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j] as a log, None for 0.
+        # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
+        total = None
+        for row in a:
+            x, y = row[i], row[j]
+            if x is None or y is None:
+                continue
+            term = (q * x + y) % n
+            if total is None:
+                total = term
+            else:
+                z = zech[(term - total) % n]
+                total = None if z is None else (total + z) % n
+        return total
+
+    def extend(j: int) -> None:
+        nonlocal count
+        if j == m:
+            count += 1
+            seen.update(exps)
+            return
+        for r in range(m):
+            if not free[r]:
+                continue
+            free[r] = False
+            for e in range(n):
+                a[r][j] = e
+                if gram(j, j) == 0 and all(
+                    gram(i, j) is None and gram(j, i) is None for i in range(j)
+                ):
+                    exps[j] = e
+                    extend(j + 1)
+            a[r][j] = None
+            free[r] = True
+
+    extend(0)
+    return count, seen
 
 
 def monomial_unitary_entries(
@@ -264,26 +286,23 @@ def monomial_unitary_entries(
 ) -> MonomialUnitaryScan:
     """Scalars occurring in unitary monomial matrices over F_{q^2}.
 
-    Every (perm, scalars) candidate is materialized as a dense matrix of
-    discrete logs and tested via conjugate-transpose times itself, summing
-    with the Zech table, with no shortcut through the scalar condition; the
-    survivors' scalars form the group of (q+1)-st roots of unity.  The
-    m! * (q^2 - 1)^m candidates are checked against the budget first.
+    A depth-first search places one column (a free row and a discrete log)
+    at a time and checks the new entries of conjugate-transpose times
+    itself against the identity as the column lands, summing densely with
+    the Zech table and never shortcutting through the scalar condition; a
+    wrong entry prunes every completion.  The survivors' scalars form the
+    group of (q+1)-st roots of unity.  The m! * (q^2 - 1)^m candidates the
+    search covers are checked against the budget first, and that count is
+    the only limit on m.
     """
-    if m < 1 or m > 4:
-        raise ValueError(f"m must be in 1..4, got {m}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     _check_q(q)
     n = q * q - 1
     what = f"monomial matrices of size {m} over F_{q * q}"
     check_budget(math.factorial(m) * n**m, budget, what=what)
     field = gf_build(q)
-    count = 0
-    seen: set[int] = set()
-    for perm in itertools.permutations(range(m)):
-        for exps in itertools.product(range(n), repeat=m):
-            if _is_dense_unitary(field, _dense_monomial(perm, exps)):
-                count += 1
-                seen.update(exps)
+    count, seen = _unitary_columns(field, m)
     return MonomialUnitaryScan(
         q=q,
         m=m,
@@ -365,8 +384,10 @@ class DictionaryTable:
 def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:
     """Instantiate the four-theory comparison at prime q and r = q - 1.
 
-    The modal scalar group is measured by the dense monomial-unitary scan
-    over F_{q^2}; the absolute scalar group is collected from the actual
+    The modal scalar group is measured by ``monomial_unitary_entries`` at
+    m = 2, a column-by-column search over F_{q^2} that sums each new entry
+    of A*A densely and prunes a partial matrix at its first entry off the
+    identity; the absolute scalar group is collected from the actual
     unitary group over the level-r(r+2) monoid field at m = 2.  The static
     complex and division-ring rows document the theories the finite rows
     imitate.  Both enumerations are checked against the budget first.

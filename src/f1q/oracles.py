@@ -15,6 +15,7 @@ import itertools
 from typing import Sequence
 
 from .field import InvolutionSpec
+from .mqt import GFField, MonomialUnitaryScan, gf_build
 from .operators import (
     AnyMatrix,
     MonomialMatrix,
@@ -31,6 +32,7 @@ __all__ = [
     "involution_brute_force",
     "automorphism_group_brute_force",
     "brute_force_exponents",
+    "dense_monomial_scan",
 ]
 
 
@@ -159,3 +161,59 @@ def brute_force_exponents(l: int) -> list[int]:
         d = images[2] - 1  # image code of the generator w^1
         exps.append(l if d == 0 else d)  # canonical representative in [1, l]
     return sorted(exps)
+
+
+def _dense_monomial(
+    perm: tuple[int, ...], exps: tuple[int, ...]
+) -> list[list[int | None]]:
+    """The dense matrix of logs, None marking the zero entries."""
+    m = len(perm)
+    rows: list[list[int | None]] = [[None] * m for _ in range(m)]
+    for j in range(m):
+        rows[perm[j]][j] = exps[j]
+    return rows
+
+
+def _is_dense_unitary(field: GFField, a: list[list[int | None]]) -> bool:
+    # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j], compared to identity.
+    # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
+    q, n, zech = field.q, len(field.exp), field.zech
+    m = len(a)
+    for i in range(m):
+        for j in range(m):
+            total = None
+            for k in range(m):
+                x, y = a[k][i], a[k][j]
+                if x is None or y is None:
+                    continue
+                term = (q * x + y) % n
+                if total is None:
+                    total = term
+                else:
+                    z = zech[(term - total) % n]
+                    total = None if z is None else (total + z) % n
+            if total != (0 if i == j else None):
+                return False
+    return True
+
+
+def dense_monomial_scan(q: int, m: int) -> MonomialUnitaryScan:
+    """Oracle for ``mqt.monomial_unitary_entries``: every one of the
+    m! * (q^2 - 1)^m (perm, scalars) candidates over F_{q^2} is built as a
+    dense matrix of discrete logs and its whole A*A compared with the
+    identity."""
+    field = gf_build(q)
+    n = len(field.exp)
+    count = 0
+    seen: set[int] = set()
+    for perm in itertools.permutations(range(m)):
+        for exps in itertools.product(range(n), repeat=m):
+            if _is_dense_unitary(field, _dense_monomial(perm, exps)):
+                count += 1
+                seen.update(exps)
+    return MonomialUnitaryScan(
+        q=q,
+        m=m,
+        unitary_count=count,
+        allowed_scalars=tuple(sorted(field.exp[k] for k in seen)),
+    )

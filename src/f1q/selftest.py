@@ -45,6 +45,7 @@ from .operators import (
 )
 from .oracles import (
     brute_force_exponents,
+    dense_monomial_scan,
     involution_brute_force,
     principal_subset_scan,
     product_rule_observables,
@@ -177,11 +178,15 @@ def _deletion() -> tuple[bool, str]:
 
 
 def _dictionary() -> tuple[bool, str]:
+    candidates = 0
     for q in (2, 3):
-        scan = monomial_unitary_entries(q, 2)
-        if scan.scalar_group_order != q + 1:
-            return False, f"scalar group order {scan.scalar_group_order} at q={q}"
+        for m in (1, 2):
+            candidates += math.factorial(m) * (q * q - 1) ** m
+            if monomial_unitary_entries(q, m) != dense_monomial_scan(q, m):
+                return False, f"column search differs from dense scan at q={q}, m={m}"
         table = dictionary_table(q)
+        if table.modal_scalar_order != q + 1:
+            return False, f"scalar group order {table.modal_scalar_order} at q={q}"
         if not table.aligned:
             return False, f"dictionary misaligned at q={q}"
     field = gf_build(2)
@@ -193,8 +198,10 @@ def _dictionary() -> tuple[bool, str]:
             if not field.is_fixed(born_value(field, x, y)):
                 return False, f"born value outside fixed field for {x}, {y}"
     return True, (
-        f"scalar groups have order q+1 and rows align for q in (2, 3); "
-        f"born values in the fixed field for all {pairs} pairs at m=2, q=2"
+        f"column search equals the dense scan on all {candidates} monomial "
+        f"candidates for q in (2, 3), m <= 2; scalar groups have order q+1 and "
+        f"rows align for q in (2, 3); born values in the fixed field for all "
+        f"{pairs} pairs at m=2, q=2"
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1q.budget import BudgetExceededError
+from f1q.oracles import dense_monomial_scan
 from f1q.mqt import (
     born_value,
     dictionary_table,
@@ -194,9 +195,12 @@ def test_monomial_unitary_identity_always_passes():
     assert (1, 0) in scan.allowed_scalars
 
 
-def test_monomial_unitary_rejects_large_m():
+def test_monomial_unitary_size_is_limited_by_the_budget_alone():
     with pytest.raises(ValueError):
-        monomial_unitary_entries(2, 5)
+        monomial_unitary_entries(2, 0)
+    # 5! * 3^5 = 29,160 unitaries out of 5! * 3^5 candidates: over F_4 every
+    # unit is a cube root of unity
+    assert monomial_unitary_entries(2, 5).unitary_count == 29_160
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -370,3 +374,24 @@ def test_dictionary_budget():
     with pytest.raises(BudgetExceededError):
         dictionary_table(5, budget=1151)
     assert dictionary_table(5, budget=1152).aligned
+
+
+@pytest.mark.parametrize(
+    "q, m", [(q, 2) for q in PRIMES] + [(2, 3), (3, 3), (2, 4)]
+)
+def test_column_search_matches_dense_scan(q, m):
+    assert monomial_unitary_entries(q, m) == dense_monomial_scan(q, m)
+
+
+@pytest.mark.parametrize(
+    "q, m, budget",
+    [(5, 4, 24 * 24**4), (13, 3, 6 * 168**3)],  # m! * (q^2 - 1)^m candidates
+)
+def test_column_search_beyond_the_dense_scan(q, m, budget):
+    scan = monomial_unitary_entries(q, m, budget=budget)
+    assert scan.unitary_count == math.factorial(m) * (q + 1) ** m
+    f = gf_build(q)
+    want = {f.exp[k] for k in range(0, q * q - 1, q - 1)}  # the g^k, (q - 1) | k
+    assert set(scan.allowed_scalars) == want
+    with pytest.raises(BudgetExceededError):
+        monomial_unitary_entries(q, m, budget=budget - 1)

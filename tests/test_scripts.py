@@ -70,3 +70,33 @@ def test_script_rejects_bad_numbers_with_exit_2(script, args, message):
     assert proc.stdout == ""
     assert proc.stderr.rstrip().endswith(message)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message,searched",
+    [
+        (
+            ["--budget", "1"],
+            "budget exceeded: U(4) at level 1 needs 24 candidates, budget is 1",
+            [],
+        ),
+        (
+            ["--max-m", "3"],
+            "budget exceeded: U(9) at level 2 needs 185794560 candidates, "
+            "budget is 10000000",
+            ["m=2 l=1", "m=2 l=2", "m=3 l=1"],
+        ),
+    ],
+)
+def test_noclone_search_over_budget_exits_3(args, message, searched):
+    proc = run_script("noclone_search.py", args)
+    assert proc.returncode == 3
+    assert proc.stderr.rstrip().endswith(message)
+    assert "Traceback" not in proc.stderr
+    # the points searched before the refusal print as in a run within budget
+    lines = proc.stdout.splitlines()
+    assert [line.split("  ")[0] for line in lines if line.startswith("m=")] == searched
+    within = ""
+    if searched:
+        within = run_script("noclone_search.py", ["--max-m", "2"]).stdout
+    assert proc.stdout.startswith(within)
