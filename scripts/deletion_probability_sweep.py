@@ -11,7 +11,12 @@ import argparse
 import csv
 import sys
 
-from f1q.clone_delete import limit_m_infinity, probability_a1, verify_deletion
+from f1q.clone_delete import (
+    check_probability_digits,
+    limit_m_infinity,
+    probability_a1,
+    verify_deletion,
+)
 
 AUDIT_CAP = 2000  # audit per ray only while the ray count stays desk-sized
 
@@ -30,6 +35,11 @@ def main() -> int:
     parser.add_argument("--csv", type=argparse.FileType("w"), default=None,
                         help="also write the sweep as CSV to this path")
     args = parser.parse_args()
+    # the largest cell has the longest fraction; refuse before printing any
+    try:
+        check_probability_digits(args.max_m, args.max_l)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     writer = None
     if args.csv:

@@ -20,6 +20,7 @@ from typing import Callable
 from .budget import BudgetExceededError, check_budget
 from .clone_delete import (
     build_deletion_operator,
+    check_probability_digits,
     is_almost_unitary,
     limit_l_infinity,
     limit_m_infinity,
@@ -340,19 +341,7 @@ def _cmd_delete_verify(args: argparse.Namespace) -> Result:
 
 
 def _cmd_delete_prob(args: argparse.Namespace) -> Result:
-    m, l = args.m, args.l
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and m >= 1 and l >= 1:
-        # In lowest terms the probability is (l+1)^(m-1) over ((l+1)^m - 1)/l,
-        # and the denominator, the longer, has more than ``limit`` digits
-        # exactly when m > x.  Logarithms decide away from the boundary, so a
-        # huge m is refused before (l+1)^m is computed.
-        x = (limit + math.log10(l)) / math.log10(l + 1)
-        if m > x + 1 or (m > x - 1 and (l + 1) ** m > l * 10**limit):
-            raise ValueError(
-                f"the probability at m={m}, l={l} has more than {limit} digits, "
-                "the limit of sys.get_int_max_str_digits()"
-            )
+    check_probability_digits(args.m, args.l)
     p = probability_a1(args.m, args.l)
     m_inf = limit_m_infinity(args.l)
     l_inf = limit_l_infinity()

@@ -17,6 +17,8 @@ simply is not a ray.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,7 @@ __all__ = [
     "DeletionReport",
     "verify_deletion",
     "probability_a1",
+    "check_probability_digits",
     "probability_json",
     "limit_m_infinity",
     "limit_l_infinity",
@@ -317,23 +320,31 @@ class DeletionReport:
 def verify_deletion(
     m: int, l: int, blank_index: int = 0, budget: int | None = None
 ) -> DeletionReport:
-    """Apply the deleter to phi (x) phi for every ray phi and audit outcomes.
+    """Apply the deleter D to phi (x) phi for every ray phi and audit outcomes.
 
-    Rays whose designated coordinate is nonzero must come out on the ray of
-    phi (x) e_blank (deleted); the rest must be annihilated to the zero
-    vector.  Any other outcome would falsify the construction and raises.
-    The deleter's dimension and the ray count are checked against the
-    budget before anything is built.
+    D keeps the coordinates k*m + b, b the blank index, where
+    (phi (x) phi)_(k*m + b) = phi_k phi_b.  So a ray whose designated entry
+    phi_b = w^e is nonzero must come out as exactly phi (x) (w^e e_b)
+    (deleted).  That vector is w^e times phi (x) e_b, so the identity puts
+    the image on the ray of phi (x) e_b, which is what deletion asks, and
+    fixes the global factor besides; neither side is put in canonical ray
+    form.  The rest must be annihilated to the zero vector.  Any other
+    outcome would falsify the construction and raises.  The deleter's
+    dimension and the ray count are checked against the budget before
+    anything is built.
     """
     op = build_deletion_operator(m, l, blank_index, budget)
     rays = enumerate_rays(m, l, budget)
-    blank = basis_state(blank_index, m, l)
+    blanks: dict[int, StateVector] = {}
     deleted = annihilated = 0
     for phi in rays:
         rep = phi.representative
         image = op.apply(tensor(rep, rep))
-        if rep[blank_index].is_unit:
-            if ray_of(image) != ray_of(tensor(rep, blank)):
+        e = rep[blank_index].exp
+        if e is not None:
+            if e not in blanks:
+                blanks[e] = basis_state(blank_index, m, l, e)
+            if image != tensor(rep, blanks[e]):
                 raise AssertionError(f"deletion failed on {rep}")
             deleted += 1
         else:
@@ -361,6 +372,25 @@ def probability_a1(m: int, l: int) -> Fraction:
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     return Fraction(l * (l + 1) ** (m - 1), (l + 1) ** m - 1)
+
+
+def check_probability_digits(m: int, l: int) -> None:
+    """Raise ValueError when ``probability_a1(m, l)`` has a numerator or
+    denominator too long for ``str`` under ``sys.get_int_max_str_digits()``.
+
+    In lowest terms the probability is (l+1)^(m-1) over ((l+1)^m - 1)/l, and
+    the denominator, the longer, has more than ``limit`` digits exactly when
+    m > x.  Logarithms decide away from the boundary, so a huge m is refused
+    before (l+1)^m is computed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and m >= 1 and l >= 1:
+        x = (limit + math.log10(l)) / math.log10(l + 1)
+        if m > x + 1 or (m > x - 1 and (l + 1) ** m > l * 10**limit):
+            raise ValueError(
+                f"the probability at m={m}, l={l} has more than {limit} digits, "
+                "the limit of sys.get_int_max_str_digits()"
+            )
 
 
 def limit_m_infinity(l: int) -> Fraction:

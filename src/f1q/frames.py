@@ -320,18 +320,25 @@ def simple_rays(m: int, l: int) -> list[ProjectiveRay]:
 
 
 def tensor(x: StateVector, y: StateVector) -> StateVector:
-    """Row-major tensor product: entry (i, j) at flat index i * dim(y) + j."""
+    """Row-major tensor product: entry (i, j) at flat index i * dim(y) + j.
+
+    Row i is x_i * y, so it depends on the exponent of x_i alone.  Each
+    distinct row, at most l + 1 of them with the zero row, is built once
+    and shared by every i with that exponent.
+    """
     l = x.order
     if l != y.order:
         raise ValueError(f"level mismatch: {l} vs {y.order}")
     table = interned(l)
-    zero_row = (table[None],) * y.dim
+    rows = {None: (table[None],) * y.dim}
     ys = [e.exp for e in y.entries]
     out: list[F1Element] = []
     for xi in x.entries:
         a = xi.exp
-        if a is None:
-            out += zero_row
-        else:
-            out += [yj if b is None else table[(a + b) % l] for yj, b in zip(y.entries, ys)]
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = [
+                yj if b is None else table[(a + b) % l] for yj, b in zip(y.entries, ys)
+            ]
+        out += row
     return StateVector(tuple(out))

@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from .clone_delete import build_deletion_operator
 from .field import InvolutionSpec
+from .frames import basis_state, enumerate_rays, ray_of, tensor
 from .mqt import GFField, MonomialUnitaryScan, gf_build
 from .operators import (
     AnyMatrix,
@@ -33,6 +35,7 @@ __all__ = [
     "automorphism_group_brute_force",
     "brute_force_exponents",
     "dense_monomial_scan",
+    "ray_deletion_audit",
 ]
 
 
@@ -217,3 +220,26 @@ def dense_monomial_scan(q: int, m: int) -> MonomialUnitaryScan:
         unitary_count=count,
         allowed_scalars=tuple(sorted(field.exp[k] for k in seen)),
     )
+
+
+def ray_deletion_audit(m: int, l: int, blank_index: int) -> tuple[int, int]:
+    """Oracle for ``clone_delete.verify_deletion``: apply the deleter to
+    phi (x) phi for every ray phi and compare rays, not vectors.  The image
+    must have the ray of phi (x) e_blank when phi_blank is nonzero and be
+    the zero vector otherwise; any other outcome raises.  Returns the
+    (deleted, annihilated) counts."""
+    op = build_deletion_operator(m, l, blank_index)
+    blank = basis_state(blank_index, m, l)
+    deleted = annihilated = 0
+    for phi in enumerate_rays(m, l):
+        rep = phi.representative
+        image = op.apply(tensor(rep, rep))
+        if rep[blank_index].is_unit:
+            if ray_of(image) != ray_of(tensor(rep, blank)):
+                raise AssertionError(f"deletion failed on {rep}")
+            deleted += 1
+        else:
+            if not image.is_zero:
+                raise AssertionError(f"expected annihilation on {rep}")
+            annihilated += 1
+    return deleted, annihilated

@@ -50,6 +50,7 @@ from .oracles import (
     principal_subset_scan,
     product_rule_observables,
     product_rule_unitaries,
+    ray_deletion_audit,
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all"]
@@ -163,9 +164,17 @@ def _deletion() -> tuple[bool, str]:
             return False, f"cycle rule and subset scan disagree on {str(a)!r}"
     for m in range(1, 5):
         for l in range(1, 5):
-            report = verify_deletion(m, l)
-            if report.probability != probability_a1(m, l):
-                return False, f"probability mismatch at m={m}, l={l}"
+            # at m, l <= 3 every blank index is audited, and checked against
+            # the ray oracle as well
+            small = m <= 3 and l <= 3
+            for b in range(m) if small else (0,):
+                report = verify_deletion(m, l, blank_index=b)
+                where = f"m={m}, l={l}, blank_index={b}"
+                if report.probability != probability_a1(m, l):
+                    return False, f"probability mismatch at {where}"
+                counts = (report.rays_deleted, report.rays_annihilated)
+                if small and counts != ray_deletion_audit(m, l, b):
+                    return False, f"vector audit and ray audit disagree at {where}"
     if probability_a1(2, 2) != Fraction(3, 4):
         return False, "P(2, 2) != 3/4"
     if abs(probability_a1(1000, 2) - Fraction(2, 3)) >= Fraction(1, 10**6):
@@ -173,7 +182,8 @@ def _deletion() -> tuple[bool, str]:
     return True, (
         "almost unitary for m, l <= 3 (cycle rule and subset scan); the rule "
         "equals the scan on every 3x3 subunital at level 3; per-ray audit matches "
-        "the closed form for m, l <= 4; P(2,2) = 3/4; m=1000 within 1e-6 of 2/3"
+        "the closed form for m, l <= 4 and equals the ray oracle for every blank "
+        "index at m, l <= 3; P(2,2) = 3/4; m=1000 within 1e-6 of 2/3"
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1q import budget
+from f1q import budget, clone_delete
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
     CloneSearchResult,
@@ -43,7 +43,11 @@ from f1q.operators import (
     enumerate_subunital,
     is_unitary,
 )
-from f1q.oracles import principal_subset_scan, product_rule_unitaries
+from f1q.oracles import (
+    principal_subset_scan,
+    product_rule_unitaries,
+    ray_deletion_audit,
+)
 
 
 def _ray(exps, l):
@@ -307,6 +311,28 @@ def test_deletion_report_counts(m, l):
     assert report.total_rays == len(enumerate_rays(m, l))
     assert report.probability == Fraction(deleted, report.total_rays)
     assert report.probability == probability_a1(m, l)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("l", range(1, 5))
+def test_vector_audit_matches_ray_audit(m, l):
+    for b in range(m):
+        report = verify_deletion(m, l, blank_index=b)
+        counts = (report.rays_deleted, report.rays_annihilated)
+        assert counts == ray_deletion_audit(m, l, b)
+
+
+def test_deletion_audit_refuses_a_misrouted_deleter(monkeypatch):
+    def misrouted(m, l, blank_index=0, budget=None):
+        # the k = 1 cell writes to row m + blank_index + 1, not to its column
+        rows = [k * m + blank_index for k in range(m)]
+        rows[1] += 1
+        cells = tuple((row, k * m + blank_index, one(l)) for k, row in enumerate(rows))
+        return SubunitalMatrix(m * m, l, cells)
+
+    monkeypatch.setattr(clone_delete, "build_deletion_operator", misrouted)
+    with pytest.raises(AssertionError, match="deletion failed"):
+        verify_deletion(3, 2)
 
 
 def test_deletion_report_json_shape():

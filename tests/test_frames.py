@@ -221,6 +221,25 @@ def test_tensor_row_major_layout():
     assert t[1] == unit(1, 2)
 
 
+def _entrywise_tensor(x, y):
+    """Reference product: every entry x[i] * y[j] multiplied on its own."""
+    return StateVector(tuple(x[i] * y[j] for i in range(x.dim) for j in range(y.dim)))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_tensor_matches_entrywise_product(l):
+    # every pair of nonzero vectors of dimension <= 3, so repeated rows (equal
+    # entries of x) and zero rows (zero entries of x) all occur
+    vectors = [v for m in (1, 2, 3) for v in enumerate_vectors(m, l)]
+    for x, y in itertools.product(vectors, repeat=2):
+        assert tensor(x, y) == _entrywise_tensor(x, y), (x, y)
+
+
+def test_tensor_rejects_level_mismatch():
+    with pytest.raises(ValueError, match="level mismatch: 2 vs 3"):
+        tensor(state([0, 1], 2), state([0, 2], 3))
+
+
 @given(state_pairs(max_dim=3, max_level=4))
 def test_tensor_support_is_product(pair):
     x, y = pair

@@ -62,6 +62,12 @@ def test_script_runs(script, args, line):
             "argument --max-m: must be >= 1, got 0",
         ),
         ("dictionary_demo.py", ["--primes", "2", "4"], "q must be prime, got 4"),
+        (
+            "deletion_probability_sweep.py",
+            ["--max-m", "4302", "--max-l", "9"],
+            "the probability at m=4302, l=9 has more than 4300 digits, "
+            "the limit of sys.get_int_max_str_digits()",
+        ),
     ],
 )
 def test_script_rejects_bad_numbers_with_exit_2(script, args, message):
