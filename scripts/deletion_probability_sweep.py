@@ -32,10 +32,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=positive_int, default=6)
     parser.add_argument("--max-l", type=positive_int, default=6)
-    parser.add_argument("--csv", type=argparse.FileType("w"), default=None,
+    parser.add_argument("--csv", default=None,
                         help="also write the sweep as CSV to this path")
     args = parser.parse_args()
-    # the largest cell has the longest fraction; refuse before printing any
+    # the largest cell has the longest fraction; refuse before printing any,
+    # and before opening the CSV path, so a refused run leaves the file as it was
     try:
         check_probability_digits(args.max_m, args.max_l)
     except ValueError as exc:
@@ -43,7 +44,11 @@ def main() -> int:
 
     writer = None
     if args.csv:
-        writer = csv.writer(args.csv, lineterminator="\n")
+        try:
+            csv_file = open(args.csv, "w")
+        except OSError as exc:
+            parser.error(f"argument --csv: can't open '{args.csv}': {exc}")
+        writer = csv.writer(csv_file, lineterminator="\n")
         writer.writerow(["m", "l", "num", "den", "value", "audited"])
 
     header = "m\\l " + " ".join(f"{l:>12d}" for l in range(1, args.max_l + 1))

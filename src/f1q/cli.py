@@ -35,6 +35,7 @@ from .operators import (
     format_matrix,
     is_observable,
     iter_GL,
+    iter_unitaries,
     matrix_to_json,
     unitary_group,
 )
@@ -218,20 +219,26 @@ def _cmd_involutions(args: argparse.Namespace) -> Result:
 
 
 def _cmd_unitary_group(args: argparse.Namespace) -> Result:
-    group = unitary_group(args.m, args.r, budget=args.budget)
+    if args.enumerate_elements:
+        group = unitary_group(args.m, args.r, budget=args.budget)
+        order = len(group)
+    else:  # only the order is printed: count the walk instead of holding it
+        l = args.r * (args.r + 2)
+        sigma = classify_involution(l, args.r)
+        order = sum(1 for _ in iter_unitaries(args.m, l, sigma, args.budget))
     expected = (args.r + 2) ** args.m * math.factorial(args.m)
     payload = {
         "m": args.m,
         "r": args.r,
         "level": args.r * (args.r + 2),
-        "order": len(group),
+        "order": order,
         "expected": expected,
-        "matches": len(group) == expected,
+        "matches": order == expected,
     }
     if args.enumerate_elements:
         payload["elements"] = [matrix_to_json(u) for u in group]
     text = (
-        f"U({args.m}, level {payload['level']}): order {len(group)}, "
+        f"U({args.m}, level {payload['level']}): order {order}, "
         f"wreath prediction {expected}, "
         + ("match" if payload["matches"] else "MISMATCH")
     )

@@ -216,7 +216,8 @@ def gl_order(m: int, l: int) -> int:
 
 def iter_GL(m: int, l: int, budget: int | None = None) -> Iterator[MonomialMatrix]:
     """All invertible monomial matrices, permutations outer, scalars inner,
-    built one at a time; arguments and budget are checked at the call."""
+    built one at a time; arguments and budget are checked at the call, and
+    each permutation once for all its l^m members (see ``_wreath``)."""
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(gl_order(m, l), budget, what=f"GL({m}) at level {l}")
@@ -256,7 +257,8 @@ def iter_unitaries(
     The group is the wreath product of the unitary scalar subgroup with S_m,
     so it is generated directly rather than filtered out of GL; the order is
     the same as filtering ``iter_GL`` with ``is_unitary``.  Arguments
-    and the budget are checked at call time, before anything is built.
+    and the budget are checked at call time, before anything is built; the
+    unitary scalars once and each permutation once (see ``_wreath``).
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
@@ -267,22 +269,28 @@ def iter_unitaries(
 def _wreath(
     m: int, l: int, exps: Sequence[int], perms: Iterable[tuple[int, ...]] | None = None
 ) -> Iterator[MonomialMatrix]:
-    """The wreath product of the units w^e, e in ``exps``, with S_m, unchecked:
+    """The wreath product of the units w^e, e in ``exps``, with S_m:
     ``iter_unitaries`` with the unitary exponents, ``iter_GL`` with every
     exponent.  The permutations are outer, in lexicographic order unless
     ``perms`` is given, and the column scalars inner; each member is built
-    only when it is reached.
+    only when it is reached.  Each scalar is checked once, as a unit at level
+    l, and each permutation once, by the rule of ``MonomialMatrix``; a member
+    pairs them, so it is valid by construction and skips ``__post_init__``.
     """
-    table = interned(l)
-    scalars = [table[e] for e in exps]
-    if perms is None:
-        perms = itertools.permutations(range(m))
-    fields = (
-        (l, perm, column_scalars)
-        for perm in perms
-        for column_scalars in itertools.product(scalars, repeat=m)
-    )
-    return itertools.starmap(MonomialMatrix, fields)
+    scalars = [interned(l)[e] for e in exps]
+    if m < 1 or not all(s.is_unit for s in scalars):
+        raise ValueError(f"need m >= 1 and unit scalars, got m={m}, exponents {exps}")
+    rows = list(range(m))
+    new, set_field = object.__new__, object.__setattr__
+    for perm in itertools.permutations(rows) if perms is None else map(tuple, perms):
+        if sorted(perm) != rows:
+            raise ValueError(f"{perm} is not a permutation")
+        for column_scalars in itertools.product(scalars, repeat=m):
+            member = new(MonomialMatrix)
+            set_field(member, "order", l)
+            set_field(member, "perm", perm)
+            set_field(member, "scalars", column_scalars)
+            yield member
 
 
 def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMatrix]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from f1q import budget
+from f1q import budget, cli
 from f1q.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "f1q"]
@@ -64,6 +64,29 @@ def test_unitary_group_counts():
     proc = run_cli("unitary-group", "--m", "2", "--r", "1", "--enumerate", "--json")
     data = json.loads(proc.stdout)
     assert len(data["elements"]) == 18
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_unitary_group_order_is_counted_without_the_list(fmt, monkeypatch, capsys):
+    # Without --enumerate only the order is printed: it is counted off the
+    # walk, and the payload is the enumerating run's without the elements.
+    args = ["unitary-group", "--m", "3", "--r", "2", *fmt]
+    assert main(args + ["--enumerate"]) == 0
+    listed = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order alone must not list the group")
+
+    monkeypatch.setattr(cli, "unitary_group", refuse)
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    if fmt:
+        expected = json.loads(listed)
+        del expected["elements"]
+        assert json.loads(out) == expected and expected["order"] == 384
+    else:
+        assert out == "U(3, level 8): order 384, wreath prediction 384, match\n"
+        assert listed.startswith(out)
 
 
 def test_observables_count():

@@ -4,12 +4,13 @@ import itertools
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1q import budget, clone_delete
+from f1q import budget, clone_delete, operators
 from f1q.budget import BudgetExceededError
 from f1q.clone_delete import (
     CloneSearchResult,
@@ -205,14 +206,17 @@ def test_worker_chunk_builds_only_its_slice(monkeypatch):
     # all of their unitaries and nothing else.
     sigma = classify_involution(3, 1)
     _, cases = _cloner_cases(2, 3, "all", None)
+    # The walk sets each member's fields with ``object.__setattr__``, not
+    # through ``__post_init__``; record every perm it sets.
     built = []
-    post_init = MonomialMatrix.__post_init__
 
-    def counting(self):
-        built.append(self.perm)
-        post_init(self)
+    def setting(member, name, value):
+        if name == "perm":
+            built.append(value)
+        object.__setattr__(member, name, value)
 
-    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
+    counting = SimpleNamespace(__new__=object.__new__, __setattr__=setting)
+    monkeypatch.setattr(operators, "object", counting, raising=False)
     assert _first_cloner((2, 3, sigma, cases, 1, 2)) is None
     assert len(built) == 12 * 81
     ranks = {perm: rank for rank, perm in enumerate(itertools.permutations(range(4)))}

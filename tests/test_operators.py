@@ -1,13 +1,16 @@
 """Monomial operators, wreath-product groups, observables, subunital matrices."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from f1q import operators
 from f1q.budget import BudgetExceededError
-from f1q.field import classify_involution, one, unit, zero
+from f1q.field import classify_involution, one, unit, unitary_exponents, zero
 from f1q.frames import enumerate_vectors, state
 from f1q.operators import (
     MonomialMatrix,
@@ -21,6 +24,7 @@ from f1q.operators import (
     iter_GL,
     iter_unitaries,
     matrix_to_json,
+    _wreath,
     subunital_count,
     unitary_group,
     unitary_order,
@@ -167,19 +171,66 @@ def test_gl_enumeration_count(m, l):
 def test_iter_gl_is_lazy_and_checks_budget_at_call(monkeypatch):
     with pytest.raises(BudgetExceededError):
         iter_GL(4, 2, budget=383)  # raised at the call, before any yield
+    # The walk sets each member's fields with ``object.__setattr__``, not
+    # through ``__post_init__``; record every perm it sets.
     built = []
-    post_init = MonomialMatrix.__post_init__
 
-    def counting(self):
-        built.append(self.perm)
-        post_init(self)
+    def setting(member, name, value):
+        if name == "perm":
+            built.append(value)
+        object.__setattr__(member, name, value)
 
-    monkeypatch.setattr(MonomialMatrix, "__post_init__", counting)
+    counting = SimpleNamespace(__new__=object.__new__, __setattr__=setting)
+    monkeypatch.setattr(operators, "object", counting, raising=False)
     gl = iter_GL(4, 2, budget=384)
     assert built == []
     first = next(gl)
     assert built == [(0, 1, 2, 3)]
     assert first == MonomialMatrix.identity(4, 2)
+
+
+def assert_built_as_constructed(walked, expected):
+    assert walked == expected
+    assert [vars(a) for a in walked] == [vars(b) for b in expected]
+    assert all(type(a.perm) is tuple and type(a.scalars) is tuple for a in walked)
+
+
+@pytest.mark.parametrize("m,l", [(m, l) for m in range(1, 5) for l in range(1, 4)])
+def test_gl_walk_matches_the_validating_constructor(m, l):
+    # The walk skips __post_init__; every member must still be the matrix the
+    # checking constructor builds from the same fields, in the same order.
+    units = [unit(e, l) for e in range(l)]
+    expected = [
+        MonomialMatrix(l, perm, scalars)
+        for perm in itertools.permutations(range(m))
+        for scalars in itertools.product(units, repeat=m)
+    ]
+    assert_built_as_constructed(list(iter_GL(m, l)), expected)
+
+
+@pytest.mark.parametrize("m,l", [(m, l) for m in range(1, 4) for l in range(1, 9)])
+def test_unitary_walk_matches_the_validating_constructor(m, l):
+    for sigma in conjugations(l):
+        units = [unit(e, l) for e in unitary_exponents(sigma, l)]
+        expected = [
+            MonomialMatrix(l, perm, scalars)
+            for perm in itertools.permutations(range(m))
+            for scalars in itertools.product(units, repeat=m)
+        ]
+        assert_built_as_constructed(list(iter_unitaries(m, l, sigma)), expected)
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 2), (0, 1), (1, 2, 3), (0, 1, 2, 3)])
+def test_walk_refuses_a_non_permutation(perm):
+    walk = _wreath(3, 2, range(2), [[2, 1, 0], perm])
+    assert next(walk).perm == (2, 1, 0)
+    with pytest.raises(ValueError, match="is not a permutation"):
+        list(walk)
+
+
+def test_walk_refuses_a_scalar_that_is_not_a_unit():
+    with pytest.raises(ValueError, match="unit scalars"):
+        next(_wreath(2, 3, [0, None]))
 
 
 def test_gl_frozen_order():

@@ -54,6 +54,32 @@ def test_no_module_reads_the_environment():
     assert readers == set()
 
 
+def test_only_the_interning_table_and_the_walk_skip_the_constructor():
+    # object.__new__ builds an instance without its checks.  Two places may:
+    # the level table, which checks each new element itself, and the monomial
+    # walk, which checks each scalar and each permutation once for all the
+    # matrices that share them.
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                sites.add(scope)
+            visit(child, module, inner)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, path.stem)
+    assert sites == {"field._Level.__missing__", "operators._wreath"}
+
+
 def test_every_public_name_resolves():
     # The package re-exports nothing: each module's __all__ is its public list.
     assert f1q.__all__ == ["__version__"]

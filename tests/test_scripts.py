@@ -106,3 +106,29 @@ def test_noclone_search_over_budget_exits_3(args, message, searched):
     if searched:
         within = run_script("noclone_search.py", ["--max-m", "2"]).stdout
     assert proc.stdout.startswith(within)
+
+
+@pytest.mark.parametrize("args", [["--max-m", "4302", "--max-l", "9"], ["--max-m", "0"]])
+def test_sweep_refused_run_leaves_the_csv_file_alone(args, tmp_path):
+    # The CSV path is opened only once the arguments are accepted.
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"keep me\n")
+    proc = run_script("deletion_probability_sweep.py", ["--csv", str(path), *args])
+    assert proc.returncode == 2
+    assert path.read_bytes() == b"keep me\n"
+
+
+def test_sweep_writes_the_csv(tmp_path):
+    path = tmp_path / "sweep.csv"
+    args = ["--max-m", "3", "--max-l", "2", "--csv", str(path)]
+    proc = run_script("deletion_probability_sweep.py", args)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_text().splitlines() == [
+        "m,l,num,den,value,audited",
+        "1,1,1,1,1.0,1",
+        "1,2,1,1,1.0,1",
+        "2,1,2,3,0.6666666666666666,1",
+        "2,2,3,4,0.75,1",
+        "3,1,4,7,0.5714285714285714,1",
+        "3,2,9,13,0.6923076923076923,1",
+    ]
