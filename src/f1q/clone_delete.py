@@ -325,16 +325,17 @@ def verify_deletion(
     D keeps the coordinates k*m + b, b the blank index, where
     (phi (x) phi)_(k*m + b) = phi_k phi_b.  So a ray whose designated entry
     phi_b = w^e is nonzero must come out as exactly phi (x) (w^e e_b)
-    (deleted).  That vector is w^e times phi (x) e_b, so the identity puts
-    the image on the ray of phi (x) e_b, which is what deletion asks, and
-    fixes the global factor besides; neither side is put in canonical ray
-    form.  The rest must be annihilated to the zero vector.  Any other
-    outcome would falsify the construction and raises.  The deleter's
-    dimension and the ray count are checked against the budget before
-    anything is built.
+    (deleted), where w^e e_b is phi projected onto coordinate b.  That
+    image is w^e times phi (x) e_b, so the identity puts it on the ray of
+    phi (x) e_b, which is what deletion asks, and fixes the global factor
+    besides; neither side is put in canonical ray form.  The rest must be
+    annihilated to the zero vector.  Any other outcome would falsify the
+    construction and raises.  The deleter's dimension and the ray count
+    are checked against the budget before anything is built.
     """
     op = build_deletion_operator(m, l, blank_index, budget)
     rays = enumerate_rays(m, l, budget)
+    keep = SubunitalMatrix(m, l, ((blank_index, blank_index, one(l)),))
     blanks: dict[int, StateVector] = {}
     deleted = annihilated = 0
     for phi in rays:
@@ -343,7 +344,7 @@ def verify_deletion(
         e = rep[blank_index].exp
         if e is not None:
             if e not in blanks:
-                blanks[e] = basis_state(blank_index, m, l, e)
+                blanks[e] = keep.apply(rep)
             if image != tensor(rep, blanks[e]):
                 raise AssertionError(f"deletion failed on {rep}")
             deleted += 1

@@ -10,6 +10,10 @@ total predicate.
 Tensor products are row-major: entry (i, j) of x (x) y lands at flat index
 i * dim(y) + j.  Every index convention downstream (the cloner's pins,
 the deletion operator's kept positions) assumes this flattening.
+
+The public constructor ``StateVector(...)``, and so ``state`` and
+``basis_state``, checks its entries; kernels over one level's interned
+elements (tensor, scale, the enumerations, ``apply``) skip it.
 """
 
 from __future__ import annotations
@@ -103,12 +107,20 @@ class StateVector:
         if s.order != l:
             raise ValueError(f"cannot multiply elements of levels {s.order} and {l}")
         table, d = interned(l), s.exp
-        return StateVector(
+        return _vector(
             tuple(e if e.exp is None else table[(e.exp + d) % l] for e in self.entries)
         )
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + f")@{self.order}"
+
+
+def _vector(entries: tuple[F1Element, ...]) -> StateVector:
+    """``StateVector(entries)`` unchecked, for kernels whose nonempty tuple
+    holds one level's interned elements, or entries of checked vectors."""
+    v = object.__new__(StateVector)
+    object.__setattr__(v, "entries", entries)
+    return v
 
 
 def state(exps: Sequence[int | None], l: int) -> StateVector:
@@ -215,7 +227,7 @@ class PerpSpace:
         for combo in itertools.product(elements(l), repeat=self.dimension):
             for i, e in zip(self.free_indices, combo):
                 entries[i] = e
-            yield StateVector(tuple(entries))
+            yield _vector(tuple(entries))
 
 
 def perp_space(x: StateVector) -> PerpSpace:
@@ -283,12 +295,9 @@ def enumerate_vectors(m: int, l: int, budget: int | None = None) -> list[StateVe
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget((l + 1) ** m, budget, what=f"vectors of dimension {m} at level {l}")
-    out = []
-    for combo in itertools.product(elements(l), repeat=m):
-        v = StateVector(combo)
-        if not v.is_zero:
-            out.append(v)
-    return out
+    combos = itertools.product(elements(l), repeat=m)
+    next(combos)  # the zero vector, which sorts first
+    return [_vector(combo) for combo in combos]
 
 
 def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[ProjectiveRay]:
@@ -306,7 +315,7 @@ def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[Projective
     for i in range(m - 1, -1, -1):
         head = (choices[0],) * i + (choices[1],)
         for tail in itertools.product(choices, repeat=m - 1 - i):
-            out.append(ProjectiveRay(StateVector(head + tail)))
+            out.append(ProjectiveRay(_vector(head + tail)))
     return out
 
 
@@ -324,21 +333,20 @@ def tensor(x: StateVector, y: StateVector) -> StateVector:
 
     Row i is x_i * y, so it depends on the exponent of x_i alone.  Each
     distinct row, at most l + 1 of them with the zero row, is built once
-    and shared by every i with that exponent.
+    and shared by every i with that exponent; the w^0 row is y itself.
     """
     l = x.order
     if l != y.order:
         raise ValueError(f"level mismatch: {l} vs {y.order}")
     table = interned(l)
-    rows = {None: (table[None],) * y.dim}
-    ys = [e.exp for e in y.entries]
+    rows = {None: (table[None],) * y.dim, 0: y.entries}
     out: list[F1Element] = []
     for xi in x.entries:
         a = xi.exp
         row = rows.get(a)
         if row is None:
             row = rows[a] = [
-                yj if b is None else table[(a + b) % l] for yj, b in zip(y.entries, ys)
+                yj if yj.exp is None else table[(a + yj.exp) % l] for yj in y.entries
             ]
         out += row
-    return StateVector(tuple(out))
+    return _vector(tuple(out))

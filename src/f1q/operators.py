@@ -31,7 +31,7 @@ from .field import (
     unitary_exponents,
     zero,
 )
-from .frames import StateVector
+from .frames import StateVector, _vector
 
 __all__ = [
     "MonomialMatrix",
@@ -112,7 +112,7 @@ class MonomialMatrix:
         for i, s, xj in zip(self.perm, self.scalars, x.entries):
             if xj.exp is not None:
                 out[i] = table[(s.exp + xj.exp) % l]
-        return StateVector(tuple(out))
+        return _vector(tuple(out))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if not isinstance(other, MonomialMatrix):
@@ -186,7 +186,7 @@ class SubunitalMatrix:
             xj = entries[j].exp
             if xj is not None:
                 out[i] = table[(s.exp + xj) % l]
-        return StateVector(tuple(out))
+        return _vector(tuple(out))
 
     @property
     def is_monomial(self) -> bool:

@@ -31,11 +31,13 @@ from f1q.clone_delete import (
 )
 from f1q.field import classify_involution, one, unit, units
 from f1q.frames import (
+    StateVector,
     basis_state,
     enumerate_rays,
     enumerate_vectors,
     ray_of,
     simple_rays,
+    state,
     tensor,
 )
 from f1q.operators import (
@@ -324,6 +326,29 @@ def test_vector_audit_matches_ray_audit(m, l):
         report = verify_deletion(m, l, blank_index=b)
         counts = (report.rays_deleted, report.rays_annihilated)
         assert counts == ray_deletion_audit(m, l, b)
+
+
+def test_kernels_build_vectors_without_the_constructor_check(monkeypatch):
+    # Vectors that kernels build from one level's elements skip
+    # StateVector.__post_init__; the public constructors still run it.
+    x, y = basis_state(0, 3, 2), basis_state(2, 3, 2, 1)
+    a = MonomialMatrix.from_permutation((2, 0, 1), 2)
+    s = SubunitalMatrix(3, 2, ((0, 1, unit(1, 2)),))
+    check, checked = StateVector.__post_init__, []
+
+    def counting(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    report = verify_deletion(3, 2)
+    assert (report.rays_deleted, report.rays_annihilated) == (9, 4)
+    tensor(x, y), a.apply(y), s.apply(y), y.scale(unit(1, 2)), ray_of(y)
+    assert checked == []
+    state([0, None], 2)
+    assert len(checked) == 1
+    StateVector((unit(1, 2),))
+    assert len(checked) == 2
 
 
 def test_deletion_audit_refuses_a_misrouted_deleter(monkeypatch):

@@ -226,13 +226,30 @@ def _entrywise_tensor(x, y):
     return StateVector(tuple(x[i] * y[j] for i in range(x.dim) for j in range(y.dim)))
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
+def assert_constructed(v, expected):
+    """A kernel's vector, which skips the constructor's check, must be the
+    checked ``expected``: equal, its entries a tuple of one level."""
+    assert v == expected, (v, expected)
+    assert type(v.entries) is tuple
+    assert {e.order for e in v.entries} == {expected.order}
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_tensor_matches_entrywise_product(l):
     # every pair of nonzero vectors of dimension <= 3, so repeated rows (equal
-    # entries of x) and zero rows (zero entries of x) all occur
-    vectors = [v for m in (1, 2, 3) for v in enumerate_vectors(m, l)]
+    # entries of x), w^0 rows (the row y itself) and zero rows all occur
+    vectors = [v for m in (1, 2, 3) for v in _all_vectors(m, l)[1:]]
     for x, y in itertools.product(vectors, repeat=2):
-        assert tensor(x, y) == _entrywise_tensor(x, y), (x, y)
+        assert_constructed(tensor(x, y), _entrywise_tensor(x, y))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_scaling_matches_entrywise_product(l):
+    for x in (v for m in (1, 2, 3) for v in _all_vectors(m, l)):
+        for s in (unit(e, l) for e in range(l)):
+            assert_constructed(x.scale(s), StateVector(tuple(e * s for e in x)))
+    with pytest.raises(ValueError, match="levels 3 and 2"):
+        state([0, 1], 2).scale(unit(1, 3))
 
 
 def test_tensor_rejects_level_mismatch():
@@ -270,15 +287,19 @@ def _all_vectors(m, l):
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("l", range(1, 5))
 def test_enumerations_match_the_filters_they_replace(m, l):
+    # the enumerations skip the vector constructor's check, so each vector is
+    # also compared with the checked one, field types and level included
     everything = _all_vectors(m, l)
-    assert enumerate_vectors(m, l) == [v for v in everything if not v.is_zero]
-    assert [r.representative for r in enumerate_rays(m, l)] == [
-        v for v in everything if not v.is_zero and ray_of(v).representative == v
-    ]
+    pairs = list(zip(enumerate_vectors(m, l), everything[1:], strict=True))
+    canonical = [v for v in everything[1:] if ray_of(v).representative == v]
+    rays = [r.representative for r in enumerate_rays(m, l)]
+    pairs += zip(rays, canonical, strict=True)
     for v in everything[1:]:
-        p = perp_space(v)
-        free = set(p.free_indices)
-        assert list(p.vectors()) == [w for w in everything if set(w.support()) <= free]
+        free = set(perp_space(v).free_indices)
+        members = [w for w in everything if set(w.support()) <= free]
+        pairs += zip(perp_space(v).vectors(), members, strict=True)
+    for built, checked in pairs:
+        assert_constructed(built, checked)
 
 
 def test_enumerations_check_the_budget_first():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from f1q import operators
 from f1q.budget import BudgetExceededError
-from f1q.field import classify_involution, one, unit, unitary_exponents, zero
-from f1q.frames import enumerate_vectors, state
+from f1q.field import classify_involution, elements, one, unit, unitary_exponents, zero
+from f1q.frames import StateVector, enumerate_vectors, state
 from f1q.operators import (
     MonomialMatrix,
     SubunitalMatrix,
@@ -382,6 +382,33 @@ def test_subunital_apply_never_needs_addition():
     a = SubunitalMatrix(3, 2, ((0, 1, one(2)), (2, 2, unit(1, 2))))
     y = a.apply(state([0, 0, 0], 2))
     assert y == state([0, None, 1], 2)
+
+
+def _applied(a, x):
+    """Reference image: entry i is the cell scalar A[i][j] times x[j],
+    multiplied on its own, and zero where row i is empty."""
+    out = [zero(a.order)] * a.dim
+    for i, j, s in a.cells:
+        out[i] = s * x[j]
+    return StateVector(tuple(out))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_apply_builds_the_checked_vector(l):
+    # apply skips the vector constructor's check; its image must still be the
+    # checked vector, its entries a tuple of one level
+    cases = [(2, iter_GL(2, l)), (3, iter_GL(3, l)), (2, enumerate_subunital(2, l))]
+    for m, matrices in cases:
+        vectors = [StateVector(c) for c in itertools.product(elements(l), repeat=m)]
+        for a in matrices:
+            for x in vectors:
+                y = a.apply(x)
+                assert y == _applied(a, x), (a, x)
+                assert type(y.entries) is tuple
+                assert {e.order for e in y.entries} == {l}
+    for a in (MonomialMatrix.identity(2, 2), SubunitalMatrix(2, 2, ())):
+        with pytest.raises(ValueError, match="level mismatch"):
+            a.apply(state([0, 1], 3))
 
 
 @given(monomials())

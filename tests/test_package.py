@@ -55,10 +55,12 @@ def test_no_module_reads_the_environment():
 
 
 def test_only_the_interning_table_and_the_walk_skip_the_constructor():
-    # object.__new__ builds an instance without its checks.  Two places may:
-    # the level table, which checks each new element itself, and the monomial
+    # object.__new__ builds an instance without its checks.  Three places may:
+    # the level table, which checks each new element itself; the monomial
     # walk, which checks each scalar and each permutation once for all the
-    # matrices that share them.
+    # matrices that share them; and the kernels' vector builder, whose
+    # callers pass a nonempty tuple of one level's elements, taken from that
+    # level's interned table or from vectors of that level checked already.
     sites = set()
 
     def visit(node, module, scope):
@@ -77,7 +79,7 @@ def test_only_the_interning_table_and_the_walk_skip_the_constructor():
 
     for path in SRC.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem, path.stem)
-    assert sites == {"field._Level.__missing__", "operators._wreath"}
+    assert sites == {"field._Level.__missing__", "operators._wreath", "frames._vector"}
 
 
 def test_every_public_name_resolves():
