@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -48,6 +49,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
+
+# Encoder chunks per join; ``json.dumps(indent=...)`` holds every chunk at once.
+_JSON_BATCH = 4096
 
 # What a handler returns: the JSON payload, the text rendering, the exit
 # code, and the CSV rows (None for a subcommand without --csv).
@@ -385,6 +389,14 @@ def _cmd_selftest(args: argparse.Namespace) -> Result:
     return payload, "\n".join(lines), EXIT_OK if all_ok else EXIT_INVARIANT, None
 
 
+def _json_text(payload: object) -> str:
+    """``json.dumps(payload, indent=2)``, joined in batches of ``_JSON_BATCH``
+    chunks so that only the text, not every chunk of it, is held."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    batches = iter(lambda: list(itertools.islice(chunks, _JSON_BATCH)), [])
+    return "".join("".join(batch) for batch in batches)
+
+
 def main(argv: list[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
@@ -396,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, text, code, csv_rows = args.run(args)
     except BudgetExceededError as exc:
         if args.json:
-            print(json.dumps({"status": "budget-exceeded", "detail": str(exc)}, indent=2))
+            print(_json_text({"status": "budget-exceeded", "detail": str(exc)}))
         else:
             print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -409,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed_ms = int((time.perf_counter() - start) * 1000)
 
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif getattr(args, "csv", False):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv_rows)

@@ -31,6 +31,7 @@ from .frames import (
     StateVector,
     basis_state,
     enumerate_rays,
+    iter_rays,
     ray_count,
     ray_of,
     simple_rays,
@@ -241,7 +242,7 @@ def _first_nonsimple_ray(m: int, l: int, budget: int | None = None) -> Projectiv
     simple, so there is none."""
     if m < 2:
         raise ValueError("non-simple rays need dimension >= 2")
-    return next(r for r in enumerate_rays(m, l, budget) if not r.is_simple)
+    return next(r for r in iter_rays(m, l, budget) if not r.is_simple)
 
 
 def is_almost_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
@@ -330,11 +331,11 @@ def verify_deletion(
     phi (x) e_b, which is what deletion asks, and fixes the global factor
     besides; neither side is put in canonical ray form.  The rest must be
     annihilated to the zero vector.  Any other outcome would falsify the
-    construction and raises.  The deleter's dimension and the ray count
-    are checked against the budget before anything is built.
+    construction and raises.  The deleter's dimension and the ray count are
+    checked against the budget first; then the rays are walked one at a time.
     """
     op = build_deletion_operator(m, l, blank_index, budget)
-    rays = enumerate_rays(m, l, budget)
+    rays = iter_rays(m, l, budget)
     keep = SubunitalMatrix(m, l, ((blank_index, blank_index, one(l)),))
     blanks: dict[int, StateVector] = {}
     deleted = annihilated = 0

@@ -45,6 +45,7 @@ __all__ = [
     "perp_space",
     "ray_of",
     "enumerate_vectors",
+    "iter_rays",
     "enumerate_rays",
     "simple_rays",
     "ray_count",
@@ -300,23 +301,29 @@ def enumerate_vectors(m: int, l: int, budget: int | None = None) -> list[StateVe
     return [_vector(combo) for combo in combos]
 
 
-def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[ProjectiveRay]:
-    """All ((l+1)^m - 1)/l rays, in lexicographic order of representatives.
+def iter_rays(m: int, l: int, budget: int | None = None) -> Iterator[ProjectiveRay]:
+    """All ((l+1)^m - 1)/l rays, in lexicographic order of representatives,
+    built one at a time.
 
     Only the canonical representatives are built: i leading zeros, then
-    w^0, then any tail; more leading zeros sort first.  The ray count is
-    checked against the budget before any is built.
+    w^0, then any tail; more leading zeros sort first.  The arguments and
+    the ray count are checked against the budget at the call.
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
     check_budget(ray_count(m, l), budget, what=f"rays of dimension {m} at level {l}")
     choices = elements(l)
-    out = []
-    for i in range(m - 1, -1, -1):
-        head = (choices[0],) * i + (choices[1],)
-        for tail in itertools.product(choices, repeat=m - 1 - i):
-            out.append(ProjectiveRay(_vector(head + tail)))
-    return out
+    heads = ((choices[0],) * i + (choices[1],) for i in range(m - 1, -1, -1))
+    return (
+        ProjectiveRay(_vector(head + tail))
+        for head in heads
+        for tail in itertools.product(choices, repeat=m - len(head))
+    )
+
+
+def enumerate_rays(m: int, l: int, budget: int | None = None) -> list[ProjectiveRay]:
+    """``iter_rays`` as a list."""
+    return list(iter_rays(m, l, budget))
 
 
 def ray_count(m: int, l: int) -> int:

@@ -10,8 +10,11 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from f1q import budget, cli
 from f1q.cli import build_parser, main
@@ -422,6 +425,70 @@ def test_observables_memory_is_bounded_by_the_answer(capsys):
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["count"] == 268
     assert peak < 2_000_000
+
+
+def test_json_text_of_no_chunks_is_empty(monkeypatch):
+    # no payload encodes to zero chunks, so the encoder is made to yield none
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", lambda *a, **k: iter(()))
+    assert cli._json_text({"m": 2}) == json.dumps({"m": 2}, indent=2) == ""
+
+
+@pytest.mark.parametrize("chunks", [1, 4095, 4096, 4097])
+def test_json_text_across_batch_edges(chunks):
+    # a scalar is one chunk; a list of n numbers is n + 2: one per item, the
+    # newline before the closing bracket, and the bracket
+    assert cli._JSON_BATCH == 4096
+    payload = 7 if chunks == 1 else list(range(chunks - 2))
+    assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) == chunks
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(json_values, st.integers(min_value=1, max_value=5))
+def test_json_text_matches_dumps(payload, batch):
+    # small batches put batch edges inside small payloads
+    with mock.patch.object(cli, "_JSON_BATCH", batch):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("field", "info", "--l", "6"), 0),
+        (("involutions", "--m", "12"), 0),
+        (("involutions", "--m", "8", "--r", "1"), 0),
+        (("unitary-group", "--m", "2", "--r", "1"), 0),
+        (("unitary-group", "--m", "2", "--r", "1", "--enumerate"), 0),
+        (("observables", "--m", "2", "--l", "3"), 0),
+        (("noclone", "--m", "2", "--l", "2"), 0),
+        (("noclone", "--m", "2", "--l", "2", "--scope", "simple"), 0),
+        (("delete", "build", "--m", "3", "--l", "2"), 0),
+        (("delete", "verify", "--m", "3", "--l", "2"), 0),
+        (("delete", "prob", "--m", "3", "--l", "2"), 0),
+        (("dictionary", "--q", "3"), 0),
+        (("selftest",), 0),
+        (("delete", "verify", "--m", "4", "--l", "4", "--budget", "10"), 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_json_stdout_is_the_payload_dumped(args, code, monkeypatch, capsys):
+    payloads = []
+    json_text = cli._json_text
+
+    def recording(payload):
+        payloads.append(payload)
+        return json_text(payload)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    assert main([*args, "--json"]) == code
+    [payload] = payloads
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_elapsed_goes_to_stderr_not_stdout():

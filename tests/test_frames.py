@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from f1q import frames
 from f1q.budget import BudgetExceededError
 from f1q.field import classify_involution, unit, zero
 from f1q.frames import (
+    ProjectiveRay,
     StateVector,
     basis_state,
     enumerate_rays,
     enumerate_vectors,
+    iter_rays,
     orthogonal,
     perp_space,
     ray_count,
@@ -300,6 +303,34 @@ def test_enumerations_match_the_filters_they_replace(m, l):
         pairs += zip(perp_space(v).vectors(), members, strict=True)
     for built, checked in pairs:
         assert_constructed(built, checked)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("l", range(1, 5))
+def test_iter_rays_walks_the_enumeration_order(m, l):
+    # enumerate_rays is checked against the filter over every vector above
+    assert list(iter_rays(m, l)) == enumerate_rays(m, l)
+
+
+def test_iter_rays_is_lazy_and_checks_at_call(monkeypatch):
+    # refused at the call, before any ray is built or next() is taken
+    with pytest.raises(BudgetExceededError):
+        iter_rays(3, 2, budget=12)
+    for m, l in [(0, 2), (2, 0), (-1, 3)]:
+        with pytest.raises(ValueError):
+            iter_rays(m, l)
+    first = ray_of(basis_state(2, 3, 2))
+    built = []
+
+    def counting(representative):
+        built.append(representative)
+        return ProjectiveRay(representative)
+
+    monkeypatch.setattr(frames, "ProjectiveRay", counting)
+    rays = iter_rays(3, 2, budget=13)
+    assert built == []
+    assert next(rays) == first
+    assert built == [first.representative]
 
 
 def test_enumerations_check_the_budget_first():
