@@ -38,7 +38,6 @@ from .operators import (
     iter_GL,
     iter_unitaries,
     matrix_to_json,
-    unitary_group,
 )
 from .mqt import dictionary_table
 from .selftest import run_all
@@ -223,18 +222,18 @@ def _cmd_involutions(args: argparse.Namespace) -> Result:
 
 
 def _cmd_unitary_group(args: argparse.Namespace) -> Result:
+    l = args.r * (args.r + 2)
+    walk = iter_unitaries(args.m, l, classify_involution(l, args.r), args.budget)
     if args.enumerate_elements:
-        group = unitary_group(args.m, args.r, budget=args.budget)
+        group = list(walk)
         order = len(group)
     else:  # only the order is printed: count the walk instead of holding it
-        l = args.r * (args.r + 2)
-        sigma = classify_involution(l, args.r)
-        order = sum(1 for _ in iter_unitaries(args.m, l, sigma, args.budget))
+        order = sum(1 for _ in walk)
     expected = (args.r + 2) ** args.m * math.factorial(args.m)
     payload = {
         "m": args.m,
         "r": args.r,
-        "level": args.r * (args.r + 2),
+        "level": l,
         "order": order,
         "expected": expected,
         "matches": order == expected,
@@ -242,7 +241,7 @@ def _cmd_unitary_group(args: argparse.Namespace) -> Result:
     if args.enumerate_elements:
         payload["elements"] = [matrix_to_json(u) for u in group]
     text = (
-        f"U({args.m}, level {payload['level']}): order {order}, "
+        f"U({args.m}, level {l}): order {order}, "
         f"wreath prediction {expected}, "
         + ("match" if payload["matches"] else "MISMATCH")
     )

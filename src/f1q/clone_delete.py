@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -172,7 +173,7 @@ def search_projective_cloner(
     find none; scope='simple' restricts the demand to the m simple rays and
     is expected to find a witness.  The witness returned is always the first
     in canonical enumeration order (unitaries outer, blanks inner).  Part k
-    of K = min(workers, (m^2)!) scans the permutations of rank k mod K
+    of K = min(workers, CPUs, (m^2)!) scans the permutations of rank k mod K
     against the cases built here under the caller's budget, so the worker
     count never changes the answer, only the wall time.  Pairs that
     provably fail (a non-simple blank, or a unitary that breaks a simple
@@ -194,7 +195,7 @@ def search_projective_cloner(
     check_budget(unitary_count * blank_count, budget, what="cloner search")
     targets, cases = _cloner_cases(m, l, scope, budget)
 
-    parts = min(max(workers, 1), factorial(n))
+    parts = min(max(workers, 1), os.cpu_count() or 1, factorial(n))
     jobs = [(m, l, sigma, cases, k, parts) for k in range(parts)]
     if parts == 1:
         hits = map(_first_cloner, jobs)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -73,16 +74,23 @@ def test_unitary_group_counts():
 def test_unitary_group_order_is_counted_without_the_list(fmt, monkeypatch, capsys):
     # Without --enumerate only the order is printed: it is counted off the
     # walk, and the payload is the enumerating run's without the elements.
+    # Both runs read one walk; count the members still alive when it ends.
+    walk, alive = cli.iter_unitaries, []
+
+    def watched(*args):
+        members = []
+        for u in walk(*args):
+            members.append(weakref.ref(u))
+            yield u
+        alive.append(sum(ref() is not None for ref in members))
+
+    monkeypatch.setattr(cli, "iter_unitaries", watched)
     args = ["unitary-group", "--m", "3", "--r", "2", *fmt]
     assert main(args + ["--enumerate"]) == 0
     listed = capsys.readouterr().out
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the order alone must not list the group")
-
-    monkeypatch.setattr(cli, "unitary_group", refuse)
     assert main(args) == 0
     out = capsys.readouterr().out
+    assert alive == [384, 1]  # the listing holds all 384; the count only the last
     if fmt:
         expected = json.loads(listed)
         del expected["elements"]
@@ -234,13 +242,19 @@ def test_flag_a_subcommand_does_not_take_exits_2(args, capsys):
         ("involutions", "--m", "-3", "--json"),
         ("noclone", "--m", "1", "--l", "1"),
         ("noclone", "--m", "0", "--l", "2", "--json"),
+        ("dictionary", "--q", "4"),
     ],
     ids=lambda args: " ".join(args),
 )
 def test_dimension_below_range_exits_2(args, capsys):
     # involutions at m < 1 listed no maps, and noclone at m = 1 reported the
-    # identity, which clones the only ray, as a universal cloner
-    message = {"involutions": "m and r must be >= 1", "noclone": "noclone needs --m >= 2"}
+    # identity, which clones the only ray, as a universal cloner; dictionary
+    # needs a prime q, as F_(q^2) is built on it
+    message = {
+        "involutions": "m and r must be >= 1",
+        "noclone": "noclone needs --m >= 2",
+        "dictionary": "q must be prime, got 4",
+    }
     assert main(list(args)) == 2
     out, err = capsys.readouterr()
     assert out == "" and message[args[0]] in err

@@ -202,6 +202,37 @@ def test_workers_run_under_the_callers_budget(monkeypatch):
             assert getattr(par, f.name) == getattr(seq, f.name), (workers, f.name)
 
 
+@pytest.mark.parametrize(
+    "cpus,workers,parts",
+    [(2, 5000, 2), (64, 3, 3), (64, 5000, 24), (None, 5000, 1)],
+)
+def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypatch):
+    # The pool is a fake that records its size and runs every part in this
+    # process, so even --workers 5000 starts no process.  At m=2 there are
+    # 4! = 24 permutations, the most parts a search can use.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    seq = search_projective_cloner(2, 2, scope="simple", workers=1)
+    monkeypatch.setattr(clone_delete, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(clone_delete.os, "cpu_count", lambda: cpus)
+    par = search_projective_cloner(2, 2, scope="simple", workers=workers)
+    assert sizes == ([parts] if parts > 1 else [])
+    assert par == seq
+
+
 def test_worker_chunk_builds_only_its_slice(monkeypatch):
     # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
     # permutations of the tensor space owns 3^4 = 81 unitaries.  Part 1 of 2
