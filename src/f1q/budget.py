@@ -7,6 +7,8 @@ exit code so a too large request is distinguishable from a crash.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["BudgetExceededError", "DEFAULT_BUDGET", "default_budget", "check_budget"]
 
 DEFAULT_BUDGET = 10_000_000
@@ -20,7 +22,26 @@ def default_budget() -> int:
     return DEFAULT_BUDGET
 
 
+# Python's default cap on the digits that ``str`` converts an int to.
+_SHOWN_DIGITS = 4300
+
+
 def check_budget(size: int, budget: int | None, *, what: str) -> None:
     limit = default_budget() if budget is None else budget
     if size > limit:
-        raise BudgetExceededError(f"{what} needs {size} candidates, budget is {limit}")
+        try:
+            shown = str(size)
+        except ValueError:  # more digits than str converts
+            shown = f"about 10^{math.log10(size):.0f}"
+        raise BudgetExceededError(f"{what} needs {shown} candidates, budget is {limit}")
+
+
+def _check_wreath(m: int, s: int, budget: int | None, *, what: str) -> None:
+    """``check_budget`` on the wreath product size m! * s^m, s >= 1.  A size
+    too long for ``str`` is refused by its logarithm, before m! is computed."""
+    limit = default_budget() if budget is None else budget
+    digits = (math.lgamma(m + 1) + m * math.log(s)) / math.log(10)
+    if digits > max(_SHOWN_DIGITS + 1, limit.bit_length()):
+        shown = f"about 10^{digits:.0f}"
+        raise BudgetExceededError(f"{what} needs {shown} candidates, budget is {limit}")
+    check_budget(math.factorial(m) * s**m, budget, what=what)

@@ -255,12 +255,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     # Walking GL lazily keeps memory to the answer; its budget check still
     # refuses a huge l before the scan over r, which takes up to l steps.
     gl = iter_GL(args.m, args.l, budget=args.budget)
-    sigma = None
-    for r in range(1, args.l + 1):
-        spec = classify_involution(args.l, r)
-        if spec.valid:
-            sigma = spec
-            break
+    specs = (classify_involution(args.l, r) for r in range(1, args.l + 1))
+    sigma = next((spec for spec in specs if spec.valid), None)
     obs = [h for h in gl if is_observable(h, sigma)]
     payload = {
         "m": args.m,

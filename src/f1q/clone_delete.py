@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .budget import check_budget
+from .budget import _check_wreath, check_budget
 from .field import F1Element, InvolutionSpec, one, unitary_exponents, units
 from .frames import (
     ProjectiveRay,
@@ -113,11 +113,10 @@ def _cloner_cases(
     Monomial operators preserve support size, so a blank whose support size
     is not 1 fails every simple ray, whose clone has support size 1, and
     both scopes target the simple rays.  Only the m*l simple blanks w^e e_j
-    are built, j down and e up, each with its ``enumerate_vectors`` index
-    (1 + e)(l+1)^(m-1-j) - 1, which that order lists.  A simple blank clones
-    e_i only if column i*m + j goes to row i*m + i: those are its pins.  Each
-    case is (blank index, blank, its (col, row) pins, the (phi (x) blank,
-    ray of phi (x) phi) pair of every target phi).
+    are built, j down and e up, the order ``enumerate_vectors`` lists them
+    in.  A simple blank clones e_i only if column i*m + j goes to row
+    i*m + i: those are its pins.  Each case is (blank, its (col, row) pins,
+    the (phi (x) blank, ray of phi (x) phi) pair of every target phi).
     """
     targets = enumerate_rays(m, l, budget) if scope == "all" else simple_rays(m, l)
     # Widest supports first: against a simple blank a non-simple target
@@ -132,30 +131,23 @@ def _cloner_cases(
         for e in range(l):
             blank = basis_state(j, m, l, e)
             pairs = [(tensor(rep, blank), clone) for rep, clone in zip(reps, clones)]
-            cases.append(((1 + e) * (l + 1) ** (m - 1 - j) - 1, blank, pins, pairs))
+            cases.append((blank, pins, pairs))
     return targets, cases
 
 
 def _first_cloner(
     job: tuple[int, int, InvolutionSpec | None, list[tuple], int, int],
-) -> tuple[int, MonomialMatrix, StateVector] | None:
-    """Scan the unitaries whose permutation has lexicographic rank ``part``
-    mod ``parts``; return (pair index, unitary, blank) of the first cloning
-    pair.  The pair index (rank * |U|^(m^2) + scalar rank) * blank count +
-    blank index orders the pairs of all parts canonically."""
-    m, l, sigma, cases, part, parts = job
+) -> tuple[MonomialMatrix, StateVector] | None:
+    """Scan the unitaries whose permutation has lexicographic rank in
+    [start, stop); return (unitary, blank) of the first cloning pair."""
+    m, l, sigma, cases, start, stop = job
     n = m * m
-    exps = unitary_exponents(sigma, l)
-    per_perm = len(exps) ** n
-    blank_count = (l + 1) ** m - 1
-    perms = itertools.islice(itertools.permutations(range(n)), part, None, parts)
-    for ui, u in enumerate(_wreath(n, l, exps, perms)):
+    perms = itertools.islice(itertools.permutations(range(n)), start, stop)
+    for u in _wreath(n, l, unitary_exponents(sigma, l), perms):
         perm = u.perm
-        for bi, blank, pins, pairs in cases:
+        for blank, pins, pairs in cases:
             if all(perm[col] == row for col, row in pins) and _sends_all(u, pairs):
-                k, scalar_rank = divmod(ui, per_perm)
-                index = ((part + k * parts) * per_perm + scalar_rank) * blank_count + bi
-                return index, u, blank
+                return u, blank
     return None
 
 
@@ -173,17 +165,18 @@ def search_projective_cloner(
     find none; scope='simple' restricts the demand to the m simple rays and
     is expected to find a witness.  The witness returned is always the first
     in canonical enumeration order (unitaries outer, blanks inner).  Part k
-    of K = min(workers, CPUs, (m^2)!) scans the permutations of rank k mod K
-    against the cases built here under the caller's budget, so the worker
-    count never changes the answer, only the wall time.  Pairs that
-    provably fail (a non-simple blank, or a unitary that breaks a simple
-    blank's pins) are counted as searched without computing their images.
+    of K = min(workers, CPUs, P) scans the P = (m^2)! permutation ranks in
+    [k*P // K, (k+1)*P // K) against the cases built here under the caller's
+    budget; the first part with a hit holds the witness, so the worker count
+    never changes the answer, only the wall time.  Pairs that provably fail
+    (a non-simple blank, or a unitary that breaks a simple blank's pins) are
+    counted as searched without computing their images.
     """
     n = m * m
     if n < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
+    _check_wreath(n, len(unitary_exponents(sigma, l)), budget, what=f"U({n}) at level {l}")
     unitary_count = unitary_order(n, l, sigma)
-    check_budget(unitary_count, budget, what=f"U({n}) at level {l}")
     if scope not in ("all", "simple"):
         raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
     # The rays, the blanks and the pairs are counted in closed form, in the
@@ -195,25 +188,25 @@ def search_projective_cloner(
     check_budget(unitary_count * blank_count, budget, what="cloner search")
     targets, cases = _cloner_cases(m, l, scope, budget)
 
-    parts = min(max(workers, 1), os.cpu_count() or 1, factorial(n))
-    jobs = [(m, l, sigma, cases, k, parts) for k in range(parts)]
+    perm_count = factorial(n)
+    parts = min(max(workers, 1), os.cpu_count() or 1, perm_count)
+    cuts = [k * perm_count // parts for k in range(parts + 1)]
+    jobs = [(m, l, sigma, cases, cuts[k], cuts[k + 1]) for k in range(parts)]
     if parts == 1:
         hits = map(_first_cloner, jobs)
     else:
         with ProcessPoolExecutor(max_workers=parts) as pool:
             hits = list(pool.map(_first_cloner, jobs))
-    best = min((hit for hit in hits if hit is not None), default=None)
-
-    index, witness_u, witness_b = best or (None, None, None)
+    witness_u, witness_b = next((hit for hit in hits if hit is not None), (None, None))
     # The scan's pins and precomputed pairs are a fast path; the definition
     # has the last word on a witness.
-    if best is not None and not clones_rays(witness_u, witness_b, targets):
-        raise AssertionError(f"cloner scan returned a non-cloning pair at {index}")
+    if witness_u is not None and not clones_rays(witness_u, witness_b, targets):
+        raise AssertionError(f"cloner scan returned non-cloning {witness_u}, {witness_b}")
     return CloneSearchResult(
         m=m,
         l=l,
         scope=scope,
-        found=best is not None,
+        found=witness_u is not None,
         witness_operator=witness_u,
         witness_blank=witness_b,
         unitaries_searched=unitary_count,
@@ -449,21 +442,16 @@ def almost_unitary_cloning_fails(
     phi = _first_nonsimple_ray(m, l, budget)
     rep = phi.representative
     target = ray_of(tensor(rep, rep))
-    blanks = [
-        basis_state(i, m, l, exp) for i in range(m) for exp in range(l)
-    ]
+    blanks = [basis_state(i, m, l, exp) for i in range(m) for exp in range(l)]
     candidates = enumerate_subunital(m * m, l, budget)
     almost = [a for a in candidates if is_almost_unitary(a)]
     pairs = 0
     counterexample = None
-    for a in almost:
-        for blank in blanks:
-            pairs += 1
-            image = a.apply(tensor(rep, blank))
-            if not image.is_zero and ray_of(image) == target:
-                counterexample = (a, blank)
-                break
-        if counterexample:
+    for a, blank in itertools.product(almost, blanks):
+        pairs += 1
+        image = a.apply(tensor(rep, blank))
+        if not image.is_zero and ray_of(image) == target:
+            counterexample = (a, blank)
             break
     return AlmostUnitaryCloningScan(
         m=m,

@@ -25,7 +25,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .budget import check_budget
+from .budget import _check_wreath
 from .field import classify_involution
 from .operators import unitary_group
 
@@ -45,12 +45,6 @@ __all__ = [
 GFElement = tuple[int, int]
 
 MAX_Q = 13
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,11 @@ class GFField:
 
 
 def _check_q(q: int) -> None:
-    if not _is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    # the cap first: trial division of a huge q would take ages
     if q > MAX_Q:
         raise ValueError(f"q must be <= {MAX_Q}, got {q}")
+    if q < 2 or not all(q % d for d in range(2, math.isqrt(q) + 1)):
+        raise ValueError(f"q must be prime, got {q}")
 
 
 def gf_build(q: int) -> GFField:
@@ -299,8 +294,7 @@ def monomial_unitary_entries(
         raise ValueError(f"m must be >= 1, got {m}")
     _check_q(q)
     n = q * q - 1
-    what = f"monomial matrices of size {m} over F_{q * q}"
-    check_budget(math.factorial(m) * n**m, budget, what=what)
+    _check_wreath(m, n, budget, what=f"monomial matrices of size {m} over F_{q * q}")
     field = gf_build(q)
     count, seen = _unitary_columns(field, m)
     return MonomialUnitaryScan(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence, Union
 
-from .budget import check_budget
+from .budget import _check_wreath, check_budget
 from .field import (
     F1Element,
     InvolutionSpec,
@@ -220,7 +220,7 @@ def iter_GL(m: int, l: int, budget: int | None = None) -> Iterator[MonomialMatri
     each permutation once for all its l^m members (see ``_wreath``)."""
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    check_budget(gl_order(m, l), budget, what=f"GL({m}) at level {l}")
+    _check_wreath(m, l, budget, what=f"GL({m}) at level {l}")
     return _wreath(m, l, range(l))
 
 
@@ -262,8 +262,9 @@ def iter_unitaries(
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    check_budget(unitary_order(m, l, sigma), budget, what=f"U({m}) at level {l}")
-    return _wreath(m, l, unitary_exponents(sigma, l))
+    exps = unitary_exponents(sigma, l)
+    _check_wreath(m, len(exps), budget, what=f"U({m}) at level {l}")
+    return _wreath(m, l, exps)
 
 
 def _wreath(

@@ -341,12 +341,20 @@ def test_every_enumerating_command_respects_budget(args, capsys):
         (("noclone", "--m", "2", "--l", "20000000"), 3),
         (("unitary-group", "--m", "1", "--r", "9000", "--json"), 0),
         (("observables", "--m", "1", "--l", "20000003"), 3),
+        (("unitary-group", "--m", "3000000", "--r", "1"), 3),
+        (("observables", "--m", "3000000", "--l", "1"), 3),
+        (("noclone", "--m", "2000", "--l", "1"), 3),
+        (("unitary-group", "--m", "2000", "--r", "1", "--json"), 3),
+        (("observables", "--m", "1700", "--l", "1"), 3),
+        (("noclone", "--m", "45", "--l", "1"), 3),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_huge_level_answers_without_scanning_it(args, code):
     # the unitary scalars come in closed form, and GL's budget check runs
-    # before any scan over the l units or the l candidate conjugations
+    # before any scan over the l units or the l candidate conjugations; a
+    # wreath size m! * s^m too long to print is refused by its logarithm,
+    # before m! is computed
     start = time.perf_counter()
     proc = run_cli(*args)
     elapsed = time.perf_counter() - start

@@ -204,12 +204,14 @@ def test_workers_run_under_the_callers_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "cpus,workers,parts",
-    [(2, 5000, 2), (64, 3, 3), (64, 5000, 24), (None, 5000, 1)],
+    [(2, 5000, 2), (64, 3, 3), (64, 5, 5), (64, 5000, 24), (None, 5000, 1)],
 )
 def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypatch):
     # The pool is a fake that records its size and runs every part in this
     # process, so even --workers 5000 starts no process.  At m=2 there are
-    # 4! = 24 permutations, the most parts a search can use.
+    # 4! = 24 permutations, the most parts a search can use.  Five parts get
+    # blocks of 4 and 5 ranks; at 24 parts the first simple-ray witness, of
+    # rank 1, lies outside block 0.
     sizes = []
 
     class InlinePool:
@@ -225,19 +227,27 @@ def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypa
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    seq = search_projective_cloner(2, 2, scope="simple", workers=1)
+    searches = [
+        (l, None if r is None else classify_involution(l, r), scope)
+        for l, r in ((2, None), (3, 1), (4, None))
+        for scope in ("all", "simple")
+    ]
+    seqs = [search_projective_cloner(2, l, sigma, scope) for l, sigma, scope in searches]
     monkeypatch.setattr(clone_delete, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(clone_delete.os, "cpu_count", lambda: cpus)
-    par = search_projective_cloner(2, 2, scope="simple", workers=workers)
-    assert sizes == ([parts] if parts > 1 else [])
-    assert par == seq
+    for (l, sigma, scope), seq in zip(searches, seqs):
+        sizes.clear()
+        par = search_projective_cloner(2, l, sigma, scope, workers=workers)
+        assert sizes == ([parts] if parts > 1 else [])
+        for f in fields(CloneSearchResult):
+            assert getattr(par, f.name) == getattr(seq, f.name), (l, scope, f.name)
 
 
 def test_worker_chunk_builds_only_its_slice(monkeypatch):
     # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
-    # permutations of the tensor space owns 3^4 = 81 unitaries.  Part 1 of 2
-    # takes the 12 permutations of odd rank; no cloner exists, so it builds
-    # all of their unitaries and nothing else.
+    # permutations of the tensor space owns 3^4 = 81 unitaries.  Part 2 of 2
+    # takes the 12 permutations of rank 12..23; no cloner exists, so it
+    # builds all of their unitaries and nothing else.
     sigma = classify_involution(3, 1)
     _, cases = _cloner_cases(2, 3, "all", None)
     # The walk sets each member's fields with ``object.__setattr__``, not
@@ -251,10 +261,10 @@ def test_worker_chunk_builds_only_its_slice(monkeypatch):
 
     counting = SimpleNamespace(__new__=object.__new__, __setattr__=setting)
     monkeypatch.setattr(operators, "object", counting, raising=False)
-    assert _first_cloner((2, 3, sigma, cases, 1, 2)) is None
+    assert _first_cloner((2, 3, sigma, cases, 12, 24)) is None
     assert len(built) == 12 * 81
     ranks = {perm: rank for rank, perm in enumerate(itertools.permutations(range(4)))}
-    assert {ranks[perm] for perm in built} == set(range(1, 24, 2))
+    assert {ranks[perm] for perm in built} == set(range(12, 24))
 
 
 def test_deletion_audit_respects_budget():

@@ -26,6 +26,12 @@ def test_build_rejects_bad_q():
             gf_build(bad)
     with pytest.raises(ValueError):
         gf_build(17)  # prime but above the desk-scale cap
+    # the cap is tested before primality: a huge q costs no trial division
+    for huge in (10**18 + 3, 10**400 + 1):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            gf_build(huge)
+        assert time.perf_counter() - start < 1
 
 
 def test_modulus_choice_is_lexicographic():
