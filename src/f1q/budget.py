@@ -38,10 +38,15 @@ def check_budget(size: int, budget: int | None, *, what: str) -> None:
 
 def _check_wreath(m: int, s: int, budget: int | None, *, what: str) -> None:
     """``check_budget`` on the wreath product size m! * s^m, s >= 1.  A size
-    too long for ``str`` is refused by its logarithm, before m! is computed."""
+    too long for ``str`` is refused by its logarithm, before m! is computed,
+    and one whose logarithm overflows a float by its logarithm's logarithm."""
     limit = default_budget() if budget is None else budget
-    digits = (math.lgamma(m + 1) + m * math.log(s)) / math.log(10)
-    if digits > max(_SHOWN_DIGITS + 1, limit.bit_length()):
+    try:
+        digits = (math.lgamma(m + 1) + m * math.log(s)) / math.log(10)
         shown = f"about 10^{digits:.0f}"
+    except OverflowError:  # m beyond float range; m! has about m log10(m) digits
+        digits = math.inf
+        shown = f"about 10^(10^{math.log10(m) + math.log10(math.log10(m)):.0f})"
+    if digits > max(_SHOWN_DIGITS + 1, limit.bit_length()):
         raise BudgetExceededError(f"{what} needs {shown} candidates, budget is {limit}")
     check_budget(math.factorial(m) * s**m, budget, what=what)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .budget import _check_wreath, check_budget
-from .field import F1Element, InvolutionSpec, one, unitary_exponents, units
+from .field import F1Element, InvolutionSpec, _unitary_count, one, unitary_exponents, units
 from .frames import (
     ProjectiveRay,
     StateVector,
@@ -107,16 +107,14 @@ def clones_rays(
 
 def _cloner_cases(
     m: int, l: int, scope: str, budget: int | None
-) -> tuple[list[ProjectiveRay], list[tuple]]:
-    """The targets, and the blanks that can still clone.
+) -> tuple[list[ProjectiveRay], list[list[tuple]]]:
+    """The targets, and the blanks that can still clone, by column.
 
     Monomial operators preserve support size, so a blank whose support size
     is not 1 fails every simple ray, whose clone has support size 1, and
     both scopes target the simple rays.  Only the m*l simple blanks w^e e_j
-    are built, j down and e up, the order ``enumerate_vectors`` lists them
-    in.  A simple blank clones e_i only if column i*m + j goes to row
-    i*m + i: those are its pins.  Each case is (blank, its (col, row) pins,
-    the (phi (x) blank, ray of phi (x) phi) pair of every target phi).
+    are built: cases[j] lists (blank, the (phi (x) blank, ray of phi (x) phi)
+    pair of every target phi) for the blanks of column j, e ascending.
     """
     targets = enumerate_rays(m, l, budget) if scope == "all" else simple_rays(m, l)
     # Widest supports first: against a simple blank a non-simple target
@@ -125,28 +123,30 @@ def _cloner_cases(
         (phi.representative for phi in targets), key=lambda rep: -len(rep.support())
     )
     clones = [ray_of(tensor(rep, rep)) for rep in reps]
-    cases = []
-    for j in range(m - 1, -1, -1):
-        pins = [(i * m + j, i * m + i) for i in range(m)]
-        for e in range(l):
-            blank = basis_state(j, m, l, e)
-            pairs = [(tensor(rep, blank), clone) for rep, clone in zip(reps, clones)]
-            cases.append((blank, pins, pairs))
+    cases = [[] for _ in range(m)]
+    for j, e in itertools.product(range(m), range(l)):
+        blank = basis_state(j, m, l, e)
+        cases[j].append((blank, [(tensor(rep, blank), c) for rep, c in zip(reps, clones)]))
     return targets, cases
 
 
 def _first_cloner(
-    job: tuple[int, int, InvolutionSpec | None, list[tuple], int, int],
+    job: tuple[int, int, InvolutionSpec | None, list[list[tuple]], int, int],
 ) -> tuple[MonomialMatrix, StateVector] | None:
     """Scan the unitaries whose permutation has lexicographic rank in
-    [start, stop); return (unitary, blank) of the first cloning pair."""
+    [start, stop); return (unitary, blank) of the first cloning pair.
+
+    A blank w^e e_j clones e_i only if column i*m + j goes to row i*m + i.
+    Only permutations p that pin this for every i, with j = p.index(0), have
+    their unitaries built, and each is tested against cases[j] alone.
+    """
     m, l, sigma, cases, start, stop = job
-    n = m * m
-    perms = itertools.islice(itertools.permutations(range(n)), start, stop)
-    for u in _wreath(n, l, unitary_exponents(sigma, l), perms):
-        perm = u.perm
-        for blank, pins, pairs in cases:
-            if all(perm[col] == row for col, row in pins) and _sends_all(u, pairs):
+    perms = itertools.islice(itertools.permutations(range(m * m)), start, stop)
+    diagonal = tuple(range(0, m * m, m + 1))  # rows i*m + i; j >= m is too short
+    pinned = (p for p in perms if p[p.index(0) :: m] == diagonal)
+    for u in _wreath(m * m, l, unitary_exponents(sigma, l), pinned):
+        for blank, pairs in cases[u.perm.index(0)]:
+            if _sends_all(u, pairs):
                 return u, blank
     return None
 
@@ -169,13 +169,13 @@ def search_projective_cloner(
     [k*P // K, (k+1)*P // K) against the cases built here under the caller's
     budget; the first part with a hit holds the witness, so the worker count
     never changes the answer, only the wall time.  Pairs that provably fail
-    (a non-simple blank, or a unitary that breaks a simple blank's pins) are
-    counted as searched without computing their images.
+    (a non-simple blank, or a unitary whose permutation serves no blank
+    column) are counted as searched without being built.
     """
     n = m * m
     if n < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    _check_wreath(n, len(unitary_exponents(sigma, l)), budget, what=f"U({n}) at level {l}")
+    _check_wreath(n, _unitary_count(sigma, l), budget, what=f"U({n}) at level {l}")
     unitary_count = unitary_order(n, l, sigma)
     if scope not in ("all", "simple"):
         raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")

@@ -252,5 +252,10 @@ def unitary_exponents(sigma: InvolutionSpec | None, level: int) -> range:
     l / gcd(d + 1, l): a subgroup of order gcd(d + 1, l), given in closed
     form without scanning the l units.
     """
-    d = check_conjugation(sigma, level)
-    return range(0, level, level // gcd(d + 1, level))
+    return range(0, level, level // _unitary_count(sigma, level))
+
+
+def _unitary_count(sigma: InvolutionSpec | None, level: int) -> int:
+    """gcd(d + 1, level), the number of ``unitary_exponents``; ``len`` of
+    that range stops at 2^63."""
+    return gcd(check_conjugation(sigma, level) + 1, level)

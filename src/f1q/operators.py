@@ -23,6 +23,7 @@ from .budget import _check_wreath, check_budget
 from .field import (
     F1Element,
     InvolutionSpec,
+    _unitary_count,
     check_conjugation,
     classify_involution,
     interned,
@@ -246,7 +247,7 @@ def is_unitary(a: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
 
 def unitary_order(m: int, l: int, sigma: InvolutionSpec | None = None) -> int:
     """|U(m)| at level l: m! times |U|^m for the unitary scalar subgroup U."""
-    return factorial(m) * len(unitary_exponents(sigma, l)) ** m
+    return factorial(m) * _unitary_count(sigma, l) ** m
 
 
 def iter_unitaries(
@@ -262,9 +263,8 @@ def iter_unitaries(
     """
     if m < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    exps = unitary_exponents(sigma, l)
-    _check_wreath(m, len(exps), budget, what=f"U({m}) at level {l}")
-    return _wreath(m, l, exps)
+    _check_wreath(m, _unitary_count(sigma, l), budget, what=f"U({m}) at level {l}")
+    return _wreath(m, l, unitary_exponents(sigma, l))
 
 
 def _wreath(

@@ -45,3 +45,12 @@ def test_wreath_check_words_its_refusal_as_check_budget_does():
         "test scan needs about 10^65657059 candidates, budget is 10000000"
     )
     _check_wreath(2000, 1, 10**6000, what="test scan")  # 2000! < 10^5736
+
+
+def test_wreath_beyond_float_range_is_refused_by_its_digit_count():
+    # past about 1.8 * 10^308 m no longer converts to a float; m! then has
+    # about m * log10(m) digits, 10^400 * 400 ~ 10^403 at m = 10^400
+    for s in (1, 3):
+        assert _refusal(_check_wreath, 10**400, s, None) == (
+            "test scan needs about 10^(10^403) candidates, budget is 10000000"
+        )

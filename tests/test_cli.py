@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 from f1q import budget, cli
 from f1q.cli import build_parser, main
+from f1q.clone_delete import clones_rays
+from f1q.frames import basis_state, simple_rays
+from f1q.operators import MonomialMatrix
 
 BASE = [sys.executable, "-m", "f1q"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +127,29 @@ def test_noclone_simple_scope_finds_witness():
     assert data["found"] is True
     assert data["witness"]["operator"]["dim"] == 4
     assert data["witness"]["blank"].endswith("@2")
+
+
+def test_noclone_at_dimension_three(capsys):
+    # 9! = 362,880 unitaries x 7 blanks at l = 1; only the 2,160 unitaries
+    # whose permutation pins a blank column are built
+    start = time.perf_counter()
+    payloads = {}
+    for scope in ("all", "simple"):
+        assert main(["noclone", "--m", "3", "--l", "1", "--scope", scope, "--json"]) == 0
+        payloads[scope] = json.loads(capsys.readouterr().out)
+    assert time.perf_counter() - start < 2
+    for data in payloads.values():
+        assert (data["unitaries"], data["blanks"]) == (362880, 7)
+    assert payloads["all"]["found"] is False and payloads["all"]["witness"] is None
+    witness = payloads["simple"]["witness"]
+    perm = [0] * 9
+    for row, col, scalar in witness["operator"]["entries"]:
+        assert scalar == "w^0"
+        perm[col - 1] = row - 1
+    blank = witness["blank"]  # "(w^0,0,0)@1"
+    j = blank[1 : blank.index(")")].split(",").index("w^0")
+    u = MonomialMatrix.from_permutation(perm, 1)
+    assert clones_rays(u, basis_state(j, 3, 1), simple_rays(3, 1))
 
 
 def test_delete_build_verify_prob():
@@ -347,6 +373,10 @@ def test_every_enumerating_command_respects_budget(args, capsys):
         (("unitary-group", "--m", "2000", "--r", "1", "--json"), 3),
         (("observables", "--m", "1700", "--l", "1"), 3),
         (("noclone", "--m", "45", "--l", "1"), 3),
+        (("unitary-group", "--m", str(10**400), "--r", "1"), 3),
+        (("observables", "--m", str(10**400), "--l", "1", "--json"), 3),
+        (("noclone", "--m", str(10**200), "--l", "1"), 3),
+        (("unitary-group", "--m", "2", "--r", str(10**19)), 3),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
@@ -354,7 +384,8 @@ def test_huge_level_answers_without_scanning_it(args, code):
     # the unitary scalars come in closed form, and GL's budget check runs
     # before any scan over the l units or the l candidate conjugations; a
     # wreath size m! * s^m too long to print is refused by its logarithm,
-    # before m! is computed
+    # before m! is computed, and an m past float range by the logarithm of
+    # its digit count; a unitary scalar group is counted without len()
     start = time.perf_counter()
     proc = run_cli(*args)
     elapsed = time.perf_counter() - start

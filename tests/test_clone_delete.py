@@ -1,6 +1,7 @@
 """No-cloning searches and the almost-unitary deletion operator."""
 
 import itertools
+import math
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -30,7 +31,7 @@ from f1q.clone_delete import (
     search_projective_cloner,
     verify_deletion,
 )
-from f1q.field import classify_involution, one, unit, units
+from f1q.field import classify_involution, one, unit, unitary_exponents, units
 from f1q.frames import (
     StateVector,
     basis_state,
@@ -46,6 +47,7 @@ from f1q.operators import (
     SubunitalMatrix,
     enumerate_subunital,
     is_unitary,
+    iter_unitaries,
 )
 from f1q.oracles import (
     principal_subset_scan,
@@ -243,15 +245,10 @@ def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypa
             assert getattr(par, f.name) == getattr(seq, f.name), (l, scope, f.name)
 
 
-def test_worker_chunk_builds_only_its_slice(monkeypatch):
-    # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
-    # permutations of the tensor space owns 3^4 = 81 unitaries.  Part 2 of 2
-    # takes the 12 permutations of rank 12..23; no cloner exists, so it
-    # builds all of their unitaries and nothing else.
-    sigma = classify_involution(3, 1)
-    _, cases = _cloner_cases(2, 3, "all", None)
-    # The walk sets each member's fields with ``object.__setattr__``, not
-    # through ``__post_init__``; record every perm it sets.
+def _record_built_perms(monkeypatch):
+    """The perm of every member ``_wreath`` builds, in order.  The walk sets
+    each member's fields with ``object.__setattr__``, not through
+    ``__post_init__``."""
     built = []
 
     def setting(member, name, value):
@@ -261,10 +258,72 @@ def test_worker_chunk_builds_only_its_slice(monkeypatch):
 
     counting = SimpleNamespace(__new__=object.__new__, __setattr__=setting)
     monkeypatch.setattr(operators, "object", counting, raising=False)
-    assert _first_cloner((2, 3, sigma, cases, 12, 24)) is None
-    assert len(built) == 12 * 81
+    return built
+
+
+def _pins(perm, m, j):
+    """Whether perm sends column i*m + j to row i*m + i for every i, the
+    condition for any blank w^e e_j to clone every simple ray e_i."""
+    return all(perm[i * m + j] == i * m + i for i in range(m))
+
+
+def test_worker_chunk_builds_only_its_slice(monkeypatch):
+    # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
+    # permutations of the tensor space owns 3^4 = 81 unitaries.  No cloner
+    # exists, so a part builds every unitary of the permutations in its
+    # block that pin a blank column, and nothing else: ranks 1, 3 and 6 in
+    # part 1 of 2, and rank 12, the permutation (2, 0, 1, 3), in part 2.
+    sigma = classify_involution(3, 1)
+    _, cases = _cloner_cases(2, 3, "all", None)
+    built = _record_built_perms(monkeypatch)
     ranks = {perm: rank for rank, perm in enumerate(itertools.permutations(range(4)))}
-    assert {ranks[perm] for perm in built} == set(range(12, 24))
+    for start, stop, want in ((0, 12, {1, 3, 6}), (12, 24, {12})):
+        built.clear()
+        assert _first_cloner((2, 3, sigma, cases, start, stop)) is None
+        assert len(built) == len(want) * 81
+        assert {ranks[perm] for perm in built} == want
+    assert ranks[(2, 0, 1, 3)] == 12
+    # (2, 0, 1, 3) sends column 1 to row 0, so it serves the blanks of
+    # column 1: against the simple rays its first unitary clones with e_1.
+    _, cases = _cloner_cases(2, 3, "simple", None)
+    u, blank = _first_cloner((2, 3, sigma, cases, 12, 24))
+    assert (u, blank) == (MonomialMatrix.from_permutation((2, 0, 1, 3), 3), basis_state(1, 2, 3))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_scan_builds_exactly_the_pinned_permutations(m, monkeypatch):
+    # A pinned permutation fixes the m columns i*m + j of one blank column
+    # j, and the column it sends to row 0 decides j: m * (m*m - m)! of them,
+    # 4 at m = 2 and 2,160 of the 362,880 at m = 3.  At l = 1 each owns one
+    # unitary, and no universal cloner exists, so the scan builds them all.
+    n = m * m
+    _, cases = _cloner_cases(m, 1, "all", None)
+    built = _record_built_perms(monkeypatch)
+    assert _first_cloner((m, 1, None, cases, 0, math.factorial(n))) is None
+    assert len(built) == m * math.factorial(n - m)
+    perms = itertools.permutations(range(n))
+    pinned = [p for p in perms if any(p[j] == 0 and _pins(p, m, j) for j in range(m))]
+    assert built == pinned
+
+
+@pytest.mark.parametrize("l,r", [(l, r) for m, l, r in SEARCH_CASES if m == 2 and l <= 4])
+def test_simple_blank_clones_exactly_when_pinned(l, r):
+    # The oracle for the scan's filter: at m = 2 a unitary clones the simple
+    # rays against the simple blank w^e e_j exactly when its permutation
+    # pins column j, whatever its scalars.  So m*l*(m*m - m)! * |E|^(m*m)
+    # pairs clone, E the unitary exponents.
+    m, n = 2, 4
+    sigma = None if r is None else classify_involution(l, r)
+    targets = simple_rays(m, l)
+    blanks = [(j, basis_state(j, m, l, e)) for j in range(m) for e in range(l)]
+    cloning = 0
+    for u in iter_unitaries(n, l, sigma):
+        for j, blank in blanks:
+            clones = clones_rays(u, blank, targets)
+            assert clones == _pins(u.perm, m, j), (u, blank)
+            cloning += clones
+    exps = len(unitary_exponents(sigma, l))
+    assert cloning == m * l * math.factorial(n - m) * exps**n
 
 
 def test_deletion_audit_respects_budget():

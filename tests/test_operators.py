@@ -305,6 +305,14 @@ def test_unitary_fast_paths_match_product_rule(m, l):
         assert unitary_order(m, l, sigma) == count
 
 
+def test_unitary_order_counts_scalar_groups_past_2_63():
+    # v -> v^(r+1) at level r(r+2) makes all r+2 roots of unity unitary; at
+    # r = 10^19 that is more members than len() of a range can report
+    r = 10**19
+    l = r * (r + 2)
+    assert unitary_order(2, l, classify_involution(l, r)) == 2 * (r + 2) ** 2
+
+
 def test_unitaries_checked_against_budget_not_gl():
     assert len(unitary_group(4, 2, budget=10_000)) == 6144
     assert gl_order(4, 8) == 98304
