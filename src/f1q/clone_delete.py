@@ -16,6 +16,7 @@ simply is not a ray.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -130,20 +131,40 @@ def _cloner_cases(
     return targets, cases
 
 
+def _pinned_perms(m: int):
+    """The permutations that pin a blank column, in lexicographic order.
+
+    Stream j sends column i*m + j to row i*m + i for every i and the other
+    columns to the other rows in every order.  Only stream j sends column j
+    to row 0, so merging the m streams keeps each permutation once.
+    """
+    n = m * m
+    rows = [r for r in range(n) if r % (m + 1)]
+
+    def pinning(j):
+        perm = [0] * n
+        perm[j::m] = range(0, n, m + 1)
+        free = [c for c in range(n) if c % m != j]
+        for image in itertools.permutations(rows):
+            for c, r in zip(free, image):
+                perm[c] = r
+            yield tuple(perm)
+
+    return heapq.merge(*(pinning(j) for j in range(m)))
+
+
 def _first_cloner(
     job: tuple[int, int, InvolutionSpec | None, list[list[tuple]], int, int],
 ) -> tuple[MonomialMatrix, StateVector] | None:
-    """Scan the unitaries whose permutation has lexicographic rank in
-    [start, stop); return (unitary, blank) of the first cloning pair.
+    """Scan the unitaries of ``_pinned_perms(m)`` at positions [start, stop);
+    return (unitary, blank) of the first cloning pair.
 
-    A blank w^e e_j clones e_i only if column i*m + j goes to row i*m + i.
-    Only permutations p that pin this for every i, with j = p.index(0), have
-    their unitaries built, and each is tested against cases[j] alone.
+    A blank w^e e_j clones e_i only if column i*m + j goes to row i*m + i,
+    so no other permutation is built.  Each unitary is tested against
+    cases[j] alone, j = p.index(0) the column its permutation p pins.
     """
     m, l, sigma, cases, start, stop = job
-    perms = itertools.islice(itertools.permutations(range(m * m)), start, stop)
-    diagonal = tuple(range(0, m * m, m + 1))  # rows i*m + i; j >= m is too short
-    pinned = (p for p in perms if p[p.index(0) :: m] == diagonal)
+    pinned = itertools.islice(_pinned_perms(m), start, stop)
     for u in _wreath(m * m, l, unitary_exponents(sigma, l), pinned):
         for blank, pairs in cases[u.perm.index(0)]:
             if _sends_all(u, pairs):
@@ -165,20 +186,22 @@ def search_projective_cloner(
     find none; scope='simple' restricts the demand to the m simple rays and
     is expected to find a witness.  The witness returned is always the first
     in canonical enumeration order (unitaries outer, blanks inner).  Part k
-    of K = min(workers, CPUs, P) scans the P = (m^2)! permutation ranks in
-    [k*P // K, (k+1)*P // K) against the cases built here under the caller's
-    budget; the first part with a hit holds the witness, so the worker count
-    never changes the answer, only the wall time.  Pairs that provably fail
-    (a non-simple blank, or a unitary whose permutation serves no blank
-    column) are counted as searched without being built.
+    of K = min(workers, CPUs, P) scans the k-th of K equal runs of the
+    P = m * (m^2 - m)! pinned permutations against the cases built here
+    under the caller's budget; the first part with a hit holds the witness,
+    so the worker count never changes the answer, only the wall time.  Pairs
+    that provably fail (a non-simple blank, or a unitary whose permutation
+    pins no blank column) are counted as searched without being built.
     """
     n = m * m
     if n < 1 or l < 1:
         raise ValueError("m and l must be >= 1")
-    _check_wreath(n, _unitary_count(sigma, l), budget, what=f"U({n}) at level {l}")
-    unitary_count = unitary_order(n, l, sigma)
     if scope not in ("all", "simple"):
         raise ValueError(f"scope must be 'all' or 'simple', got {scope!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_wreath(n, _unitary_count(sigma, l), budget, what=f"U({n}) at level {l}")
+    unitary_count = unitary_order(n, l, sigma)
     # The rays, the blanks and the pairs are counted in closed form, in the
     # order ``_cloner_cases`` counts them, so a refused search builds nothing.
     if scope == "all":
@@ -188,9 +211,9 @@ def search_projective_cloner(
     check_budget(unitary_count * blank_count, budget, what="cloner search")
     targets, cases = _cloner_cases(m, l, scope, budget)
 
-    perm_count = factorial(n)
-    parts = min(max(workers, 1), os.cpu_count() or 1, perm_count)
-    cuts = [k * perm_count // parts for k in range(parts + 1)]
+    pinned_count = m * factorial(n - m)
+    parts = min(workers, os.cpu_count() or 1, pinned_count)
+    cuts = [k * pinned_count // parts for k in range(parts + 1)]
     jobs = [(m, l, sigma, cases, cuts[k], cuts[k + 1]) for k in range(parts)]
     if parts == 1:
         hits = map(_first_cloner, jobs)

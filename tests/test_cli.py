@@ -448,11 +448,19 @@ def test_payloads_are_byte_identical_across_runs():
 @pytest.mark.parametrize(
     "workers,options,default_budget",
     [
-        pytest.param("2", ["--scope", "simple"], None, id="2"),
-        pytest.param("3", ["--scope", "simple"], None, id="3"),
+        pytest.param("2", ["--m", "2", "--l", "2", "--scope", "simple"], None, id="2"),
+        pytest.param("3", ["--m", "2", "--l", "2", "--scope", "simple"], None, id="3"),
         # A --budget far above the default must reach every worker.
-        pytest.param("2", ["--budget", "1000000"], 5, id="budget-2"),
-        pytest.param("3", ["--budget", "1000000"], 5, id="budget-3"),
+        pytest.param("2", ["--m", "2", "--l", "2", "--budget", "1000000"], 5, id="budget-2"),
+        pytest.param("3", ["--m", "2", "--l", "2", "--budget", "1000000"], 5, id="budget-3"),
+        # At m = 3 the parts are runs of 2,160 pinned permutations, in real
+        # worker processes wherever the machine has more than one CPU.
+        *(
+            pytest.param(workers, ["--m", "3", "--l", "1", "--scope", scope], None,
+                         id=f"m3-{scope}-{workers}")
+            for scope in ("all", "simple")
+            for workers in ("2", "3")
+        ),
     ],
 )
 def test_workers_never_change_payload(
@@ -460,7 +468,7 @@ def test_workers_never_change_payload(
 ):
     if default_budget is not None:
         monkeypatch.setattr(budget, "DEFAULT_BUDGET", default_budget)
-    argv = ["noclone", "--m", "2", "--l", "2", *options, "--json"]
+    argv = ["noclone", *options, "--json"]
     assert main(argv) == 0
     base = capsys.readouterr().out
     assert main([*argv, "--workers", workers]) == 0

@@ -190,6 +190,12 @@ def test_search_respects_budget():
     assert search_projective_cloner(2, 3, budget=360).unitaries_searched == 24
     with pytest.raises(BudgetExceededError):
         search_projective_cloner(2, 3, budget=359)
+    # Bad arguments are refused before any budget check, and at once.
+    for kwargs in ({"scope": "bogus"}, {"workers": 0}, {"workers": -5}):
+        with pytest.raises(ValueError):
+            search_projective_cloner(1000, 1, **kwargs)
+        with pytest.raises(ValueError):
+            search_projective_cloner(2, 1, **kwargs)
 
 
 def test_workers_run_under_the_callers_budget(monkeypatch):
@@ -204,17 +210,9 @@ def test_workers_run_under_the_callers_budget(monkeypatch):
             assert getattr(par, f.name) == getattr(seq, f.name), (workers, f.name)
 
 
-@pytest.mark.parametrize(
-    "cpus,workers,parts",
-    [(2, 5000, 2), (64, 3, 3), (64, 5, 5), (64, 5000, 24), (None, 5000, 1)],
-)
-def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypatch):
-    # The pool is a fake that records its size and runs every part in this
-    # process, so even --workers 5000 starts no process.  At m=2 there are
-    # 4! = 24 permutations, the most parts a search can use.  Five parts get
-    # blocks of 4 and 5 ranks; at 24 parts the first simple-ray witness, of
-    # rank 1, lies outside block 0.
-    sizes = []
+def _inline_pool(sizes):
+    """A stand-in for ``ProcessPoolExecutor`` that appends its size to sizes
+    and runs every part in this process, in order."""
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -229,13 +227,27 @@ def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypa
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+    return InlinePool
+
+
+@pytest.mark.parametrize(
+    "cpus,workers,parts",
+    [(2, 5000, 2), (64, 3, 3), (64, 4, 4), (64, 5000, 4), (None, 5000, 1)],
+)
+def test_search_parts_are_capped_at_the_cpu_count(cpus, workers, parts, monkeypatch):
+    # The pool is a fake that records its size and runs every part in this
+    # process, so even --workers 5000 starts no process.  At m=2 there are
+    # 2 * 2! = 4 pinned permutations, the most parts a search can use.  Three
+    # parts get runs of 1, 1 and 2; at 4 parts each gets one, and part 0 is
+    # the first simple-ray witness alone.
+    sizes = []
     searches = [
         (l, None if r is None else classify_involution(l, r), scope)
         for l, r in ((2, None), (3, 1), (4, None))
         for scope in ("all", "simple")
     ]
     seqs = [search_projective_cloner(2, l, sigma, scope) for l, sigma, scope in searches]
-    monkeypatch.setattr(clone_delete, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(clone_delete, "ProcessPoolExecutor", _inline_pool(sizes))
     monkeypatch.setattr(clone_delete.os, "cpu_count", lambda: cpus)
     for (l, sigma, scope), seq in zip(searches, seqs):
         sizes.clear()
@@ -269,15 +281,16 @@ def _pins(perm, m, j):
 
 def test_worker_chunk_builds_only_its_slice(monkeypatch):
     # At m=2, l=3 under v -> v^2 every unit is unitary, so each of the 24
-    # permutations of the tensor space owns 3^4 = 81 unitaries.  No cloner
-    # exists, so a part builds every unitary of the permutations in its
-    # block that pin a blank column, and nothing else: ranks 1, 3 and 6 in
-    # part 1 of 2, and rank 12, the permutation (2, 0, 1, 3), in part 2.
+    # permutations of the tensor space owns 3^4 = 81 unitaries.  The four
+    # that pin a blank column have ranks 1, 3, 6 and 12.  No cloner exists,
+    # so a part builds every unitary of the pinned permutations at its
+    # positions, and nothing else: ranks 1 and 3 at positions [0, 2), and
+    # ranks 6 and 12 at [2, 4), the last the permutation (2, 0, 1, 3).
     sigma = classify_involution(3, 1)
     _, cases = _cloner_cases(2, 3, "all", None)
     built = _record_built_perms(monkeypatch)
     ranks = {perm: rank for rank, perm in enumerate(itertools.permutations(range(4)))}
-    for start, stop, want in ((0, 12, {1, 3, 6}), (12, 24, {12})):
+    for start, stop, want in ((0, 2, {1, 3}), (2, 4, {6, 12})):
         built.clear()
         assert _first_cloner((2, 3, sigma, cases, start, stop)) is None
         assert len(built) == len(want) * 81
@@ -286,7 +299,7 @@ def test_worker_chunk_builds_only_its_slice(monkeypatch):
     # (2, 0, 1, 3) sends column 1 to row 0, so it serves the blanks of
     # column 1: against the simple rays its first unitary clones with e_1.
     _, cases = _cloner_cases(2, 3, "simple", None)
-    u, blank = _first_cloner((2, 3, sigma, cases, 12, 24))
+    u, blank = _first_cloner((2, 3, sigma, cases, 3, 4))
     assert (u, blank) == (MonomialMatrix.from_permutation((2, 0, 1, 3), 3), basis_state(1, 2, 3))
 
 
@@ -304,6 +317,29 @@ def test_scan_builds_exactly_the_pinned_permutations(m, monkeypatch):
     perms = itertools.permutations(range(n))
     pinned = [p for p in perms if any(p[j] == 0 and _pins(p, m, j) for j in range(m))]
     assert built == pinned
+
+
+def test_parts_build_equal_runs_of_the_pinned_permutations(monkeypatch):
+    # At m = 3, l = 1 no universal cloner exists, so each of 2 parts builds
+    # its whole run: half of the 2,160 pinned permutations, in order.
+    monkeypatch.setattr(clone_delete, "ProcessPoolExecutor", _inline_pool([]))
+    monkeypatch.setattr(clone_delete.os, "cpu_count", lambda: 2)
+    built = _record_built_perms(monkeypatch)
+    parts = []
+    first_cloner = clone_delete._first_cloner
+
+    def recording(job):
+        start = len(built)
+        hit = first_cloner(job)
+        parts.append(built[start:])
+        return hit
+
+    monkeypatch.setattr(clone_delete, "_first_cloner", recording)
+    assert not search_projective_cloner(3, 1, scope="all", workers=2).found
+    assert [len(part) for part in parts] == [1080, 1080]
+    perms = itertools.permutations(range(9))
+    pinned = [p for p in perms if any(p[j] == 0 and _pins(p, 3, j) for j in range(3))]
+    assert parts[0] + parts[1] == pinned
 
 
 @pytest.mark.parametrize("l,r", [(l, r) for m, l, r in SEARCH_CASES if m == 2 and l <= 4])
