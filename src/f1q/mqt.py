@@ -8,15 +8,15 @@ are exactly the (q+1)-st roots of unity, the same cyclic group mu_{r+2} that
 the monoid-field unitary groups carry at r = q - 1.  ``dictionary_table``
 lines the two theories up side by side and machine-checks that alignment.
 
-Elements of F_{q^2} are coefficient pairs (c0, c1) meaning c0 + c1*t, with t
-a root of the field's modulus polynomial t^2 + b*t + c.  Addition works on
-the coefficients.  Everything multiplicative works on discrete logs: each
-field holds the powers g^k of the first primitive element g in ``units()``
-order, their inverse ``log``, and the Zech logarithms Z(k) = log(1 + g^k)
-(Lidl and Niederreiter, *Finite Fields*).  A product of units is a sum of
-logs mod q^2 - 1, the conjugation is e -> q*e, and a sum of units is
-g^a + g^b = g^(a + Z(b - a)).  The unitarity search runs entirely on logs;
-the polynomial product only builds the tables.
+The multiplicative monoid of F_{q^2} is {0} + mu_{q^2-1}, so an element of
+F_{q^2} is an ``F1Element`` at level n = q^2 - 1: zero, or g^k held as w^k
+for the first primitive element g.  Products, powers and inverses are the
+level's own, and the conjugation x -> x^q is the involution
+``classify_involution(n, q - 1)``.  Only addition needs the coefficient
+pairs (c0, c1), meaning c0 + c1*t with t a root of the modulus
+t^2 + b*t + c: they build the Zech table Z(k) = log(1 + g^k) (Lidl and
+Niederreiter, *Finite Fields*), and g^a + g^b = g^(a + Z(b - a)).  The
+unitarity search runs on exponents throughout.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ import math
 from dataclasses import dataclass
 
 from .budget import _check_wreath
-from .field import classify_involution
+from .field import (
+    F1Element, InvolutionSpec, check_conjugation, classify_involution, unit, zero
+)
 from .operators import unitary_group
 
 __all__ = [
-    "GFElement",
     "GFField",
     "gf_build",
     "hermitian_form",
@@ -42,113 +43,71 @@ __all__ = [
     "dictionary_table",
 ]
 
-GFElement = tuple[int, int]
-
 MAX_Q = 13
 
 
 @dataclass(frozen=True)
 class GFField:
-    """F_{q^2} = F_p[t] / (t^2 + b*t + c) with conjugation x -> x^q.
+    """F_{q^2} = F_q[t] / (t^2 + b*t + c) as level-(q^2 - 1) F1Elements.
 
-    Units are handled as discrete logs to a primitive element g: ``exp[k]``
-    is g^k, ``log`` inverts it, and ``zech[k]`` is log(1 + g^k), or None
-    where 1 + g^k = 0.  The tables are built once, on construction.
+    The tables are built once, on construction: ``exp[k]`` is the pair of
+    g^k, ``log`` inverts it, and ``zech[k]`` is log(1 + g^k), or None where
+    1 + g^k = 0.  ``element`` and ``pair`` convert between the two forms.
     """
 
-    p: int
+    q: int
     modulus: tuple[int, int]
-    exp: tuple[GFElement, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    log: dict[GFElement, int] = dataclasses.field(init=False, repr=False, compare=False)
+    exp: tuple[tuple[int, int], ...] = dataclasses.field(init=False, repr=False, compare=False)
+    log: dict[tuple[int, int], int] = dataclasses.field(init=False, repr=False, compare=False)
     zech: tuple[int | None, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.order - 1
-        g = next(x for x in self.units() if self._poly_order(x) == n)
-        exp = [self.one]
-        for _ in range(n - 1):
-            exp.append(self._poly_mul(exp[-1], g))
+        q, n = self.q, self.level
+        # g is the first unit, c1 major, whose powers reach all n units
+        for g in [(c0, c1) for c1 in range(q) for c0 in range(q)][1:]:
+            exp = [(1, 0)]
+            while (x := self._poly_mul(exp[-1], g)) != (1, 0):
+                exp.append(x)
+            if len(exp) == n:
+                break
         log = {x: k for k, x in enumerate(exp)}
-        zech = tuple(log.get(self.add(self.one, x)) for x in exp)
+        zech = tuple(log.get(((c0 + 1) % q, c1)) for c0, c1 in exp)
         object.__setattr__(self, "exp", tuple(exp))
         object.__setattr__(self, "log", log)
         object.__setattr__(self, "zech", zech)
 
-    def _poly_mul(self, x: GFElement, y: GFElement) -> GFElement:
+    def _poly_mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         # (x0 + x1 t)(y0 + y1 t) with t^2 = -(b t + c).
         b, c = self.modulus
         t2 = x[1] * y[1]
         c0 = x[0] * y[0] - c * t2
         c1 = x[0] * y[1] + x[1] * y[0] - b * t2
-        return (c0 % self.p, c1 % self.p)
-
-    def _poly_order(self, x: GFElement) -> int:
-        k, acc = 1, x
-        while acc != self.one:
-            acc = self._poly_mul(acc, x)
-            k += 1
-        return k
+        return (c0 % self.q, c1 % self.q)
 
     @property
-    def q(self) -> int:
-        return self.p
+    def level(self) -> int:
+        return self.q * self.q - 1
 
     @property
-    def order(self) -> int:
-        return self.p * self.p
+    def sigma(self) -> InvolutionSpec:
+        """The conjugation x -> x^q, which is v -> v^(r+1) at r = q - 1."""
+        return classify_involution(self.level, self.q - 1)
 
-    @property
-    def zero(self) -> GFElement:
-        return (0, 0)
+    def element(self, pair: tuple[int, int]) -> F1Element:
+        """c0 + c1*t as an element: zero, or w^k where it equals g^k."""
+        return zero(self.level) if pair == (0, 0) else unit(self.log[pair], self.level)
 
-    @property
-    def one(self) -> GFElement:
-        return (1, 0)
+    def pair(self, x: F1Element) -> tuple[int, int]:
+        return (0, 0) if x.is_zero else self.exp[x.exp]
 
-    @property
-    def t(self) -> GFElement:
-        return (0, 1)
+    def add(self, x: F1Element, y: F1Element) -> F1Element:
+        if x.is_zero or y.is_zero:
+            return y if x.is_zero else x
+        z = self.zech[(y.exp - x.exp) % self.level]
+        return zero(self.level) if z is None else x * unit(z, self.level)
 
-    def add(self, x: GFElement, y: GFElement) -> GFElement:
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def neg(self, x: GFElement) -> GFElement:
-        return (-x[0] % self.p, -x[1] % self.p)
-
-    def mul(self, x: GFElement, y: GFElement) -> GFElement:
-        if x == self.zero or y == self.zero:
-            return self.zero
-        return self.exp[(self.log[x] + self.log[y]) % len(self.exp)]
-
-    def pow(self, x: GFElement, k: int) -> GFElement:
-        if x == self.zero:
-            if k < 0:
-                raise ZeroDivisionError("zero has no inverse")
-            return self.one if k == 0 else x
-        return self.exp[self.log[x] * k % len(self.exp)]
-
-    def inverse(self, x: GFElement) -> GFElement:
-        if x == self.zero:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[-self.log[x] % len(self.exp)]
-
-    def conj(self, x: GFElement) -> GFElement:
-        if x == self.zero:
-            return x
-        return self.exp[self.log[x] * self.q % len(self.exp)]
-
-    def is_fixed(self, x: GFElement) -> bool:
-        # g^k is fixed by x -> x^q iff (q - 1) * k = 0 mod q^2 - 1.
-        return x == self.zero or self.log[x] % (self.q + 1) == 0
-
-    def elements(self) -> list[GFElement]:
-        return [(c0, c1) for c1 in range(self.p) for c0 in range(self.p)]
-
-    def units(self) -> list[GFElement]:
-        return [x for x in self.elements() if x != self.zero]
-
-    def format_element(self, x: GFElement) -> str:
-        c0, c1 = x
+    def format_element(self, x: F1Element) -> str:
+        c0, c1 = self.pair(x)
         if c1 == 0:
             return str(c0)
         t_part = "t" if c1 == 1 else f"{c1}t"
@@ -186,23 +145,24 @@ def gf_build(q: int) -> GFField:
     raise AssertionError(f"no irreducible quadratic over F_{q}")
 
 
-GFVector = tuple[GFElement, ...]
+GFVector = tuple[F1Element, ...]
 
 
-def hermitian_form(field: GFField, x: GFVector, y: GFVector) -> GFElement:
-    """Total standard form conj(x_1)y_1 + ... + conj(x_m)y_m."""
+def hermitian_form(field: GFField, x: GFVector, y: GFVector) -> F1Element:
+    """Total standard form sigma(x_1)y_1 + ... + sigma(x_m)y_m."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    total = field.zero
+    d = check_conjugation(field.sigma, field.level)
+    total = zero(field.level)
     for xi, yi in zip(x, y):
-        total = field.add(total, field.mul(field.conj(xi), yi))
+        total = field.add(total, xi**d * yi)
     return total
 
 
-def born_value(field: GFField, x: GFVector, y: GFVector) -> GFElement:
+def born_value(field: GFField, x: GFVector, y: GFVector) -> F1Element:
     """sigma(<x|y>) * <x|y>; always an element of the fixed field F_q."""
     h = hermitian_form(field, x, y)
-    return field.mul(field.conj(h), h)
+    return h ** check_conjugation(field.sigma, field.level) * h
 
 
 @dataclass(frozen=True)
@@ -212,7 +172,7 @@ class MonomialUnitaryScan:
     q: int
     m: int
     unitary_count: int
-    allowed_scalars: tuple[GFElement, ...]
+    allowed_scalars: tuple[F1Element, ...]
 
     @property
     def scalar_group_order(self) -> int:
@@ -229,7 +189,7 @@ def _unitary_columns(field: GFField, m: int) -> tuple[int, set[int]]:
     shares those entries, so the first one that differs from the identity
     prunes the subtree, and the search stays exhaustive.
     """
-    q, n, zech = field.q, len(field.exp), field.zech
+    d, n, zech = check_conjugation(field.sigma, field.level), field.level, field.zech
     a: list[list[int | None]] = [[None] * m for _ in range(m)]
     free = [True] * m
     exps = [0] * m
@@ -238,13 +198,13 @@ def _unitary_columns(field: GFField, m: int) -> tuple[int, set[int]]:
 
     def gram(i: int, j: int) -> int | None:
         # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j] as a log, None for 0.
-        # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
+        # In logs a product is d*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
         total = None
         for row in a:
             x, y = row[i], row[j]
             if x is None or y is None:
                 continue
-            term = (q * x + y) % n
+            term = (d * x + y) % n
             if total is None:
                 total = term
             else:
@@ -290,19 +250,21 @@ def monomial_unitary_entries(
     search covers are checked against the budget first, and that count is
     the only limit on m.
     """
+    _check_scan(q, m, budget)
+    return _scan(gf_build(q), m)
+
+
+def _check_scan(q: int, m: int, budget: int | None) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     _check_q(q)
-    n = q * q - 1
-    _check_wreath(m, n, budget, what=f"monomial matrices of size {m} over F_{q * q}")
-    field = gf_build(q)
+    _check_wreath(m, q * q - 1, budget, what=f"monomial matrices of size {m} over F_{q * q}")
+
+
+def _scan(field: GFField, m: int) -> MonomialUnitaryScan:
     count, seen = _unitary_columns(field, m)
-    return MonomialUnitaryScan(
-        q=q,
-        m=m,
-        unitary_count=count,
-        allowed_scalars=tuple(sorted(field.exp[k] for k in seen)),
-    )
+    scalars = tuple(unit(k, field.level) for k in sorted(seen))
+    return MonomialUnitaryScan(q=field.q, m=m, unitary_count=count, allowed_scalars=scalars)
 
 
 @dataclass(frozen=True)
@@ -378,16 +340,18 @@ class DictionaryTable:
 def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:
     """Instantiate the four-theory comparison at prime q and r = q - 1.
 
-    The modal scalar group is measured by ``monomial_unitary_entries`` at
-    m = 2, a column-by-column search over F_{q^2} that sums each new entry
-    of A*A densely and prunes a partial matrix at its first entry off the
-    identity; the absolute scalar group is collected from the actual
-    unitary group over the level-r(r+2) monoid field at m = 2.  The static
-    complex and division-ring rows document the theories the finite rows
-    imitate.  Both enumerations are checked against the budget first.
+    F_{q^2} is built once.  The modal scalar group is measured on it by the
+    search of ``monomial_unitary_entries`` at m = 2, and the modal fixed
+    field is counted as the elements the conjugation fixes; the absolute
+    scalar group is collected from the actual unitary group over the
+    level-r(r+2) monoid field at m = 2.  The static complex and
+    division-ring rows document the theories the finite rows imitate.
+    The scan is checked against the budget before any table is built, and
+    the unitary group checks its own.
     """
-    scan = monomial_unitary_entries(q, m=2, budget=budget)
+    _check_scan(q, 2, budget)
     field = gf_build(q)
+    scan = _scan(field, 2)
     r = q - 1
     level = r * (r + 2)
 
@@ -397,7 +361,7 @@ def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:
     absolute_scalars = sorted(
         {s.exp for u in unitary_group(2, r, budget=budget) for s in u.scalars}
     )
-    fixed_sizes = (q, sigma.fixed_field_order + 1)
+    fixed_sizes = (len(field.sigma.fixed_elements()), sigma.fixed_field_order + 1)
 
     rows = (
         DictionaryRow(

@@ -15,7 +15,7 @@ import itertools
 from typing import Sequence
 
 from .clone_delete import build_deletion_operator
-from .field import InvolutionSpec
+from .field import InvolutionSpec, unit
 from .frames import basis_state, enumerate_rays, ray_of, tensor
 from .mqt import GFField, MonomialUnitaryScan, gf_build
 from .operators import (
@@ -180,7 +180,7 @@ def _dense_monomial(
 def _is_dense_unitary(field: GFField, a: list[list[int | None]]) -> bool:
     # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j], compared to identity.
     # In logs a product is q*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
-    q, n, zech = field.q, len(field.exp), field.zech
+    q, n, zech = field.q, field.level, field.zech
     m = len(a)
     for i in range(m):
         for j in range(m):
@@ -206,7 +206,7 @@ def dense_monomial_scan(q: int, m: int) -> MonomialUnitaryScan:
     dense matrix of discrete logs and its whole A*A compared with the
     identity."""
     field = gf_build(q)
-    n = len(field.exp)
+    n = field.level
     count = 0
     seen: set[int] = set()
     for perm in itertools.permutations(range(m)):
@@ -218,7 +218,7 @@ def dense_monomial_scan(q: int, m: int) -> MonomialUnitaryScan:
         q=q,
         m=m,
         unitary_count=count,
-        allowed_scalars=tuple(sorted(field.exp[k] for k in seen)),
+        allowed_scalars=tuple(unit(k, n) for k in sorted(seen)),
     )
 
 

@@ -31,7 +31,7 @@ from .clone_delete import (
     search_projective_cloner,
     verify_deletion,
 )
-from .field import automorphism_group, classify_involution, totient
+from .field import automorphism_group, classify_involution, elements, totient
 from .frames import simple_rays
 from .mqt import born_value, dictionary_table, gf_build, monomial_unitary_entries
 from .operators import (
@@ -200,12 +200,13 @@ def _dictionary() -> tuple[bool, str]:
         if not table.aligned:
             return False, f"dictionary misaligned at q={q}"
     field = gf_build(2)
-    vectors = [(a, b) for a in field.elements() for b in field.elements()]
+    fixed, elems = field.sigma.fixed_elements(), elements(field.level)
+    vectors = [(a, b) for a in elems for b in elems]
     pairs = 0
     for x in vectors:
         for y in vectors:
             pairs += 1
-            if not field.is_fixed(born_value(field, x, y)):
+            if born_value(field, x, y) not in fixed:
                 return False, f"born value outside fixed field for {x}, {y}"
     return True, (
         f"column search equals the dense scan on all {candidates} monomial "

@@ -190,6 +190,151 @@ def test_dictionary_json_and_csv():
     assert len(lines) == 5
 
 
+# Full stdout of `dictionary --q 2` and `--q 3` in each format, byte for byte,
+# so that no change to the payload goes unseen.
+DICTIONARY_STDOUT = {
+    (2, "text"): """\
+| theory | field | involution | fixed field | standard form | unitary scalars |
+|---|---|---|---|---|---|
+| Actual | C | v -> conj(v) | R | conj(x_1)y_1 + ... + conj(x_m)y_m | U(1), the unit circle |
+| Modal | F_4 = F_2[t]/(t^2+t+1) | v -> v^2 | F_2 | x_1^2 y_1 + ... + x_m^2 y_m | roots of unity of order 3 (group order 3) |
+| General | division ring k with involution | sigma | k_sigma | x_1^sigma y_1 + ... + x_m^sigma y_m | norm-one scalars of k |
+| Absolute | F_1^3 = {0} + mu_3 | v -> v^2 | F_1^1 | x_1^2 y_1 + ... + x_m^2 y_m (partial) | mu_3, order 3 |
+""",
+    (2, "json"): """\
+{
+  "q": 2,
+  "r": 1,
+  "modulus": "t^2+t+1",
+  "rows": [
+    {
+      "theory": "Actual",
+      "field": "C",
+      "involution": "v -> conj(v)",
+      "fixed_field": "R",
+      "standard_form": "conj(x_1)y_1 + ... + conj(x_m)y_m",
+      "unitary_scalars": "U(1), the unit circle"
+    },
+    {
+      "theory": "Modal",
+      "field": "F_4 = F_2[t]/(t^2+t+1)",
+      "involution": "v -> v^2",
+      "fixed_field": "F_2",
+      "standard_form": "x_1^2 y_1 + ... + x_m^2 y_m",
+      "unitary_scalars": "roots of unity of order 3 (group order 3)"
+    },
+    {
+      "theory": "General",
+      "field": "division ring k with involution",
+      "involution": "sigma",
+      "fixed_field": "k_sigma",
+      "standard_form": "x_1^sigma y_1 + ... + x_m^sigma y_m",
+      "unitary_scalars": "norm-one scalars of k"
+    },
+    {
+      "theory": "Absolute",
+      "field": "F_1^3 = {0} + mu_3",
+      "involution": "v -> v^2",
+      "fixed_field": "F_1^1",
+      "standard_form": "x_1^2 y_1 + ... + x_m^2 y_m (partial)",
+      "unitary_scalars": "mu_3, order 3"
+    }
+  ],
+  "alignment": {
+    "modal_scalar_order": 3,
+    "absolute_scalar_order": 3,
+    "fixed_field_sizes": [
+      2,
+      2
+    ],
+    "aligned": true
+  }
+}
+""",
+    (2, "csv"): """\
+theory,field,involution,fixed_field,standard_form,unitary_scalars
+Actual,C,v -> conj(v),R,conj(x_1)y_1 + ... + conj(x_m)y_m,"U(1), the unit circle"
+Modal,F_4 = F_2[t]/(t^2+t+1),v -> v^2,F_2,x_1^2 y_1 + ... + x_m^2 y_m,roots of unity of order 3 (group order 3)
+General,division ring k with involution,sigma,k_sigma,x_1^sigma y_1 + ... + x_m^sigma y_m,norm-one scalars of k
+Absolute,F_1^3 = {0} + mu_3,v -> v^2,F_1^1,x_1^2 y_1 + ... + x_m^2 y_m (partial),"mu_3, order 3"
+""",
+    (3, "text"): """\
+| theory | field | involution | fixed field | standard form | unitary scalars |
+|---|---|---|---|---|---|
+| Actual | C | v -> conj(v) | R | conj(x_1)y_1 + ... + conj(x_m)y_m | U(1), the unit circle |
+| Modal | F_9 = F_3[t]/(t^2+1) | v -> v^3 | F_3 | x_1^3 y_1 + ... + x_m^3 y_m | roots of unity of order 4 (group order 4) |
+| General | division ring k with involution | sigma | k_sigma | x_1^sigma y_1 + ... + x_m^sigma y_m | norm-one scalars of k |
+| Absolute | F_1^8 = {0} + mu_8 | v -> v^3 | F_1^2 | x_1^3 y_1 + ... + x_m^3 y_m (partial) | mu_4, order 4 |
+""",
+    (3, "json"): """\
+{
+  "q": 3,
+  "r": 2,
+  "modulus": "t^2+1",
+  "rows": [
+    {
+      "theory": "Actual",
+      "field": "C",
+      "involution": "v -> conj(v)",
+      "fixed_field": "R",
+      "standard_form": "conj(x_1)y_1 + ... + conj(x_m)y_m",
+      "unitary_scalars": "U(1), the unit circle"
+    },
+    {
+      "theory": "Modal",
+      "field": "F_9 = F_3[t]/(t^2+1)",
+      "involution": "v -> v^3",
+      "fixed_field": "F_3",
+      "standard_form": "x_1^3 y_1 + ... + x_m^3 y_m",
+      "unitary_scalars": "roots of unity of order 4 (group order 4)"
+    },
+    {
+      "theory": "General",
+      "field": "division ring k with involution",
+      "involution": "sigma",
+      "fixed_field": "k_sigma",
+      "standard_form": "x_1^sigma y_1 + ... + x_m^sigma y_m",
+      "unitary_scalars": "norm-one scalars of k"
+    },
+    {
+      "theory": "Absolute",
+      "field": "F_1^8 = {0} + mu_8",
+      "involution": "v -> v^3",
+      "fixed_field": "F_1^2",
+      "standard_form": "x_1^3 y_1 + ... + x_m^3 y_m (partial)",
+      "unitary_scalars": "mu_4, order 4"
+    }
+  ],
+  "alignment": {
+    "modal_scalar_order": 4,
+    "absolute_scalar_order": 4,
+    "fixed_field_sizes": [
+      3,
+      3
+    ],
+    "aligned": true
+  }
+}
+""",
+    (3, "csv"): """\
+theory,field,involution,fixed_field,standard_form,unitary_scalars
+Actual,C,v -> conj(v),R,conj(x_1)y_1 + ... + conj(x_m)y_m,"U(1), the unit circle"
+Modal,F_9 = F_3[t]/(t^2+1),v -> v^3,F_3,x_1^3 y_1 + ... + x_m^3 y_m,roots of unity of order 4 (group order 4)
+General,division ring k with involution,sigma,k_sigma,x_1^sigma y_1 + ... + x_m^sigma y_m,norm-one scalars of k
+Absolute,F_1^8 = {0} + mu_8,v -> v^3,F_1^2,x_1^3 y_1 + ... + x_m^3 y_m (partial),"mu_4, order 4"
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_dictionary_stdout_is_pinned(q, fmt):
+    flags = [] if fmt == "text" else [f"--{fmt}"]
+    proc = run_cli("dictionary", "--q", str(q), *flags)
+    assert proc.returncode == 0
+    assert proc.stdout == DICTIONARY_STDOUT[q, fmt]
+
+
 def test_usage_errors_exit_2():
     assert run_cli("field", "info").returncode == 2  # missing --l
     assert run_cli("field", "info", "--l", "0").returncode == 2

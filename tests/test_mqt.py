@@ -10,6 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1q.budget import BudgetExceededError
+from f1q.field import (
+    classify_involution,
+    elements,
+    one,
+    unit,
+    unitary_exponents,
+    zero,
+)
+from f1q.frames import StateVector, standard_form
 from f1q.oracles import dense_monomial_scan
 from f1q.mqt import (
     born_value,
@@ -47,25 +56,43 @@ def test_modulus_is_irreducible(q):
     assert all((x * x + b * x + c) % q for x in range(q))
 
 
+def _pairs(q):
+    """Every c0 + c1*t of F_{q^2} as a coefficient pair, zero first."""
+    return [(c0, c1) for c1 in range(q) for c0 in range(q)]
+
+
+def _elements(f):
+    """Every element, converted from its pair, in ``_pairs`` order."""
+    return [f.element(c) for c in _pairs(f.q)]
+
+
+def _add(f, x, y):
+    """Coefficient addition, independent of the Zech table."""
+    return ((x[0] + y[0]) % f.q, (x[1] + y[1]) % f.q)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_field_axioms_exhaustive(q):
     f = gf_build(q)
-    elems = f.elements()
+    n = q * q - 1
+    elems = _elements(f)
     assert len(elems) == q * q
+    assert set(elems) == set(elements(n))  # the conversion is a bijection
+    z, e = zero(n), one(n)
     for x in elems:
-        assert f.add(x, f.zero) == x
-        assert f.mul(x, f.one) == x
-        assert f.add(x, f.neg(x)) == f.zero
-        if x != f.zero:
-            assert f.mul(x, f.inverse(x)) == f.one
+        assert f.add(x, z) == x
+        assert x * e == x
+        assert sum(f.add(x, y) == z for y in elems) == 1  # one additive inverse
+        if x != z:
+            assert x * x.inverse() == e
     for x in elems:
         for y in elems:
             assert f.add(x, y) == f.add(y, x)
-            assert f.mul(x, y) == f.mul(y, x)
-            for z in elems:
-                assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-                assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-                assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+            assert x * y == y * x
+            for w in elems:
+                assert f.add(f.add(x, y), w) == f.add(x, f.add(y, w))
+                assert (x * y) * w == x * (y * w)
+                assert x * f.add(y, w) == f.add(x * y, x * w)
 
 
 @st.composite
@@ -73,7 +100,7 @@ def field_and_elements(draw, count=3):
     q = draw(st.sampled_from([5, 7, 11, 13]))
     f = gf_build(q)
     xs = tuple(
-        (draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)))
+        f.element((draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))))
         for _ in range(count)
     )
     return f, xs
@@ -84,12 +111,12 @@ def field_and_elements(draw, count=3):
 def test_field_axioms_randomized(fx):
     f, (x, y, z) = fx
     assert f.add(x, y) == f.add(y, x)
-    assert f.mul(x, y) == f.mul(y, x)
+    assert x * y == y * x
     assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-    assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-    assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-    if x != f.zero:
-        assert f.mul(x, f.inverse(x)) == f.one
+    assert (x * y) * z == x * (y * z)
+    assert x * f.add(y, z) == f.add(x * y, x * z)
+    if x.is_unit:
+        assert x * x.inverse() == one(f.level)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -97,12 +124,14 @@ def test_multiplicative_group_is_cyclic(q):
     f = gf_build(q)
     n = q * q - 1
     orders = set()
-    for x in f.units():
+    for c in _pairs(q)[1:]:
+        x = f.element(c)
         k = 1
         acc = x
-        while acc != f.one:
-            acc = f.mul(acc, x)
+        while acc != one(n):
+            acc = acc * x
             k += 1
+        assert k == _poly_order(f, c)
         orders.add(k)
         assert n % k == 0
     assert n in orders  # a generator exists
@@ -111,65 +140,65 @@ def test_multiplicative_group_is_cyclic(q):
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_conjugation_is_involutory_with_fixed_field_q(q):
     f = gf_build(q)
-    fixed = [x for x in f.elements() if f.is_fixed(x)]
+    sigma = f.sigma
+    elems = _elements(f)
+    fixed = [x for x in elems if sigma(x) == x]
     assert len(fixed) == q
-    assert fixed == [(c, 0) for c in range(q)]  # the prime subfield
-    for x in f.elements():
-        assert f.conj(f.conj(x)) == x
-    for x in f.elements():
-        for y in f.elements():
-            assert f.conj(f.mul(x, y)) == f.mul(f.conj(x), f.conj(y))
-            assert f.conj(f.add(x, y)) == f.add(f.conj(x), f.conj(y))
+    assert [f.pair(x) for x in fixed] == [(c, 0) for c in range(q)]  # the prime subfield
+    for x in elems:
+        assert sigma(sigma(x)) == x
+    for x in elems:
+        for y in elems:
+            assert sigma(x * y) == sigma(x) * sigma(y)
+            assert sigma(f.add(x, y)) == f.add(sigma(x), sigma(y))
 
 
 def test_conjugation_on_f4_swaps_the_two_generators():
     f = gf_build(2)
-    assert f.conj(f.t) == f.mul(f.t, f.t)
-    assert f.conj(f.t) != f.t
+    t = f.element((0, 1))
+    assert f.sigma(t) == t * t
+    assert f.sigma(t) != t
 
 
 def test_element_formatting():
     f = gf_build(3)
-    assert f.format_element(f.zero) == "0"
-    assert f.format_element(f.one) == "1"
-    assert f.format_element(f.t) == "t"
-    assert f.format_element((2, 1)) == "t+2"
-    assert f.format_element((0, 2)) == "2t"
+    assert f.format_element(zero(8)) == "0"
+    assert f.format_element(one(8)) == "1"
+    assert f.format_element(f.element((0, 1))) == "t"
+    assert f.format_element(f.element((2, 1))) == "t+2"
+    assert f.format_element(f.element((0, 2))) == "2t"
 
 
 def test_hermitian_form_basics():
     f = gf_build(2)
-    e1 = (f.one, f.zero)
-    assert hermitian_form(f, e1, e1) == f.one
-    x = (f.t, f.zero)
-    assert hermitian_form(f, x, x) == f.one  # t^2 * t = t^3 = 1
-    assert hermitian_form(f, (f.one, f.zero), (f.zero, f.one)) == f.zero
+    z, e, t = zero(3), one(3), f.element((0, 1))
+    e1 = (e, z)
+    assert hermitian_form(f, e1, e1) == e
+    x = (t, z)
+    assert hermitian_form(f, x, x) == e  # t^2 * t = t^3 = 1
+    assert hermitian_form(f, (e, z), (z, e)) == z
     with pytest.raises(ValueError):
-        hermitian_form(f, e1, (f.one,))
+        hermitian_form(f, e1, (e,))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_form_reflexivity_exhaustive_q2(m):
-    import itertools
-
     f = gf_build(2)
-    vectors = list(itertools.product(f.elements(), repeat=m))
+    vectors = list(itertools.product(_elements(f), repeat=m))
     for x in vectors:
         for y in vectors:
-            assert hermitian_form(f, y, x) == f.conj(hermitian_form(f, x, y))
+            assert hermitian_form(f, y, x) == f.sigma(hermitian_form(f, x, y))
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_born_value_lands_in_fixed_field(q):
-    import itertools
-
     f = gf_build(q)
-    vectors = list(itertools.product(f.elements(), repeat=2))
+    vectors = list(itertools.product(_elements(f), repeat=2))
     pairs = 0
     for x in vectors:
         for y in vectors:
             pairs += 1
-            assert f.is_fixed(born_value(f, x, y))
+            assert f.pair(born_value(f, x, y))[1] == 0  # in the prime subfield F_q
     assert pairs == (q * q) ** 4
     if q == 2:
         assert pairs == 256
@@ -177,12 +206,13 @@ def test_born_value_lands_in_fixed_field(q):
 
 def test_born_value_examples():
     f = gf_build(2)
+    z, e, t = zero(3), one(3), f.element((0, 1))
     # form value t: born value is conj(t)*t = t^3 = 1
-    x, y = (f.one, f.zero), (f.t, f.zero)
-    assert hermitian_form(f, x, y) == f.t
-    assert born_value(f, x, y) == f.one
-    zero_pair = ((f.one, f.zero), (f.zero, f.one))
-    assert born_value(f, *zero_pair) == f.zero
+    x, y = (e, z), (t, z)
+    assert hermitian_form(f, x, y) == t
+    assert born_value(f, x, y) == e
+    zero_pair = ((e, z), (z, e))
+    assert born_value(f, *zero_pair) == z
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -190,15 +220,15 @@ def test_monomial_unitary_scalars_are_q_plus_first_roots(q):
     f = gf_build(q)
     scan = monomial_unitary_entries(q, 2)
     assert scan.scalar_group_order == q + 1
-    want = {s for s in f.units() if f.pow(s, q + 1) == f.one}
-    assert set(scan.allowed_scalars) == want
+    want = {c for c in _pairs(q)[1:] if _poly_pow(f, c, q + 1) == (1, 0)}
+    assert {f.pair(s) for s in scan.allowed_scalars} == want
     assert scan.unitary_count == (q + 1) ** 2 * 2  # wreath product order at m=2
 
 
 def test_monomial_unitary_identity_always_passes():
     scan = monomial_unitary_entries(2, 1)
     assert scan.unitary_count == 3  # diagonal cube roots in dimension 1
-    assert (1, 0) in scan.allowed_scalars
+    assert gf_build(2).element((1, 0)) in scan.allowed_scalars
 
 
 def test_monomial_unitary_size_is_limited_by_the_budget_alone():
@@ -265,7 +295,7 @@ def test_dictionary_serializations():
 def _poly_mul(f, x, y):
     b, c = f.modulus
     t2 = x[1] * y[1]
-    return ((x[0] * y[0] - c * t2) % f.p, (x[0] * y[1] + x[1] * y[0] - b * t2) % f.p)
+    return ((x[0] * y[0] - c * t2) % f.q, (x[0] * y[1] + x[1] * y[0] - b * t2) % f.q)
 
 
 def _poly_pow(f, x, k):
@@ -288,23 +318,31 @@ PRIMES = [2, 3, 5, 7, 11, 13]
 @pytest.mark.parametrize("q", PRIMES)
 def test_table_arithmetic_matches_polynomials(q):
     f = gf_build(q)
-    elems = f.elements()
-    for x in elems:
-        for y in elems:
-            assert f.mul(x, y) == _poly_mul(f, x, y)
-        assert f.conj(x) == _poly_pow(f, x, q)
-        for k in range(q + 3):
-            assert f.pow(x, k) == _poly_pow(f, x, k)
-        if x != f.zero:
-            inv = next(y for y in elems if _poly_mul(f, x, y) == (1, 0))
-            assert f.inverse(x) == inv
-            assert f.pow(x, -2) == _poly_mul(f, inv, inv)
-    assert f.is_fixed(f.zero)
-    assert [x for x in elems if f.is_fixed(x)] == [x for x in elems if _poly_pow(f, x, q) == x]
+    n = q * q - 1
+    for c in _pairs(q):
+        x = f.element(c)
+        assert f.pair(x) == c
+        for d in _pairs(q):
+            y = f.element(d)
+            assert f.pair(x * y) == _poly_mul(f, c, d)
+            assert f.pair(f.add(x, y)) == _add(f, c, d)
+        assert f.pair(f.sigma(x)) == _poly_pow(f, c, q)
+        for k in range(0 if x.is_unit else 1, q + 3):
+            assert f.pair(x**k) == _poly_pow(f, c, k)
+        if x.is_unit:
+            inv = next(d for d in _pairs(q) if _poly_mul(f, c, d) == (1, 0))
+            assert f.pair(x.inverse()) == inv
+            assert f.pair(x**-2) == _poly_mul(f, inv, inv)
+    z = zero(n)
+    assert f.sigma(z) == z
+    assert [c for c in _pairs(q) if f.sigma(f.element(c)) == f.element(c)] == [
+        c for c in _pairs(q) if _poly_pow(f, c, q) == c
+    ]
     with pytest.raises(ZeroDivisionError):
-        f.inverse(f.zero)
-    with pytest.raises(ZeroDivisionError):
-        f.pow(f.zero, -1)
+        z.inverse()
+    for k in (0, -1):  # 0^k is defined only for k >= 1
+        with pytest.raises(ValueError):
+            z**k
 
 
 @pytest.mark.parametrize("q", PRIMES)
@@ -313,24 +351,27 @@ def test_log_tables(q):
     n = q * q - 1
     g = f.exp[1]
     assert _poly_order(f, g) == n
-    # g is the first unit of full order, in units() order
-    assert g == next(x for x in f.units() if _poly_order(f, x) == n)
-    assert len(f.exp) == n and sorted(f.exp) == sorted(f.units())
-    assert all(f.log[x] == k for k, x in enumerate(f.exp))
+    # g is the first unit of full order, in _pairs order
+    assert g == next(c for c in _pairs(q)[1:] if _poly_order(f, c) == n)
+    assert len(f.exp) == n and sorted(f.exp) == sorted(_pairs(q)[1:])
+    assert all(f.log[c] == k for k, c in enumerate(f.exp))
     for k in range(n):
-        total = f.add(f.one, f.exp[k])
+        # g^k is the element w^k, both ways
+        assert f.element(f.exp[k]) == unit(k, n) and f.pair(unit(k, n)) == f.exp[k]
+        total = _add(f, (1, 0), f.exp[k])
         if f.zech[k] is None:
-            assert total == f.zero
+            assert total == (0, 0)
         else:
             assert f.exp[f.zech[k]] == total
     # 1 + g^k = 0 exactly once: g^k = -1
     assert sum(z is None for z in f.zech) == 1
+    assert f.element((0, 0)) == zero(n) and f.pair(zero(n)) == (0, 0)
 
 
 def _poly_dense_scan(q, m):
     """Dense scan in coefficient arithmetic, every candidate over F_{q^2}."""
     f = gf_build(q)
-    units = [x for x in f.elements() if x != (0, 0)]
+    units = _pairs(q)[1:]
     count, seen = 0, set()
     for perm in itertools.permutations(range(m)):
         for scalars in itertools.product(units, repeat=m):
@@ -343,7 +384,7 @@ def _poly_dense_scan(q, m):
                     total = (0, 0)
                     for k in range(m):
                         term = _poly_mul(f, _poly_pow(f, a[k][i], q), a[k][j])
-                        total = f.add(total, term)
+                        total = _add(f, total, term)
                     ok = ok and total == ((1, 0) if i == j else (0, 0))
             if ok:
                 count += 1
@@ -359,7 +400,7 @@ def test_log_scan_matches_coefficient_scan(q, m):
     count, scalars = _poly_dense_scan(q, m)
     assert (scan.q, scan.m) == (q, m)
     assert scan.unitary_count == count == math.factorial(m) * (q + 1) ** m
-    assert scan.allowed_scalars == scalars
+    assert tuple(sorted(gf_build(q).pair(s) for s in scan.allowed_scalars)) == scalars
 
 
 def test_scan_budget_is_checked_first():
@@ -396,8 +437,31 @@ def test_column_search_matches_dense_scan(q, m):
 def test_column_search_beyond_the_dense_scan(q, m, budget):
     scan = monomial_unitary_entries(q, m, budget=budget)
     assert scan.unitary_count == math.factorial(m) * (q + 1) ** m
-    f = gf_build(q)
-    want = {f.exp[k] for k in range(0, q * q - 1, q - 1)}  # the g^k, (q - 1) | k
+    want = {unit(k, q * q - 1) for k in range(0, q * q - 1, q - 1)}  # the g^k, (q - 1) | k
     assert set(scan.allowed_scalars) == want
     with pytest.raises(BudgetExceededError):
         monomial_unitary_entries(q, m, budget=budget - 1)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_modal_scalars_are_the_f1_scalars_at_level_q2_minus_1(q):
+    """F_{q^2} is {0} + mu_n, n = q^2 - 1, with x -> x^q as v -> v^q."""
+    n = q * q - 1
+    f = gf_build(q)
+    sigma = classify_involution(n, q - 1)
+    assert f.sigma == sigma
+    scan = monomial_unitary_entries(q, 2)
+    assert scan.allowed_scalars == tuple(unit(e, n) for e in unitary_exponents(sigma, n))
+    if q > 3:
+        return
+    # at m = 2 the F_1 form equals the Hermitian form wherever it is defined
+    vectors = [StateVector(v) for v in itertools.product(elements(n), repeat=2)]
+    defined = 0
+    for x in vectors:
+        for y in vectors:
+            form = standard_form(x, y, sigma)
+            if form.is_defined:
+                defined += 1
+                assert form.value == hermitian_form(f, x.entries, y.entries)
+    # undefined exactly when all four entries are units
+    assert defined == (n + 1) ** 4 - n**4
