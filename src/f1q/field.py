@@ -198,8 +198,18 @@ class InvolutionSpec:
 
     m: int
     r: int
-    sub_ok: bool
-    ntriv_ok: bool
+
+    def __post_init__(self) -> None:
+        if self.m < 1 or self.r < 1:
+            raise ValueError("m and r must be >= 1")
+
+    @property
+    def sub_ok(self) -> bool:
+        return self.r * (self.r + 2) % self.m == 0
+
+    @property
+    def ntriv_ok(self) -> bool:
+        return self.r % self.m != 0
 
     @property
     def valid(self) -> bool:
@@ -221,9 +231,7 @@ class InvolutionSpec:
 
 def classify_involution(m: int, r: int) -> InvolutionSpec:
     """Arithmetic classification of v -> v^(r+1) at level m."""
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be >= 1")
-    return InvolutionSpec(m=m, r=r, sub_ok=(r * (r + 2)) % m == 0, ntriv_ok=r % m != 0)
+    return InvolutionSpec(m, r)
 
 
 def check_conjugation(sigma: InvolutionSpec | None, level: int) -> int:

@@ -3,9 +3,8 @@ form, orthogonality, perp spaces, projective rays, and tensor products.
 
 A state is any m-tuple of level-l elements.  Because the scalars have no
 addition, the standard form is partial: it is defined only when at most one
-summand is nonzero, and that partiality is modelled as an explicit
-``FormValue`` variant rather than an exception, so orthogonality stays a
-total predicate.
+summand is nonzero, and an undefined form is returned as ``None`` rather
+than raised, so orthogonality stays a total predicate.
 
 Tensor products are row-major: entry (i, j) of x (x) y lands at flat index
 i * dim(y) + j.  Every index convention downstream (the cloner's pins,
@@ -35,8 +34,6 @@ from .field import (
 
 __all__ = [
     "StateVector",
-    "FormValue",
-    "PerpSpace",
     "ProjectiveRay",
     "state",
     "basis_state",
@@ -136,24 +133,6 @@ def basis_state(i: int, m: int, l: int, exp: int = 0) -> StateVector:
     return StateVector(tuple(unit(exp, l) if j == i else zero(l) for j in range(m)))
 
 
-@dataclass(frozen=True)
-class FormValue:
-    """Result of the partial standard form: a defined element or Undefined.
-
-    Undefined arises exactly when two or more summands are nonzero, i.e.
-    when the supports overlap in two or more places.
-    """
-
-    value: F1Element | None
-
-    @property
-    def is_defined(self) -> bool:
-        return self.value is not None
-
-    def __str__(self) -> str:
-        return "undefined" if self.value is None else str(self.value)
-
-
 def _check_compatible(x: StateVector, y: StateVector) -> None:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
@@ -163,13 +142,14 @@ def _check_compatible(x: StateVector, y: StateVector) -> None:
 
 def standard_form(
     x: StateVector, y: StateVector, sigma: InvolutionSpec | None = None
-) -> FormValue:
+) -> F1Element | None:
     """The partial sesquilinear form sum_i sigma(x_i) y_i.
 
     With at most one nonzero summand the sum needs no addition: zero
-    summands give Defined(0), one gives that term, two or more give
-    Undefined.  ``sigma=None`` is the identity (the degenerate involution of
-    the level-2 theory, which admits no nontrivial one).
+    summands give the zero element, one gives that term, and two or more
+    give ``None``, since the sum does not exist.  ``sigma=None`` is the
+    identity (the degenerate involution of the level-2 theory, which admits
+    no nontrivial one).
     """
     _check_compatible(x, y)
     d = check_conjugation(sigma, x.order)
@@ -178,63 +158,32 @@ def standard_form(
         if xi.is_unit and yi.is_unit:
             terms.append(xi**d * yi)
             if len(terms) > 1:
-                return FormValue(None)
-    return FormValue(terms[0] if terms else zero(x.order))
+                return None
+    return terms[0] if terms else zero(x.order)
 
 
 def orthogonal(x: StateVector, y: StateVector) -> bool:
-    """True iff the supports are disjoint; equivalently the form is Defined(0)."""
+    """True iff the supports are disjoint; equivalently the form is zero."""
     _check_compatible(x, y)
     return not set(x.support()) & set(y.support())
 
 
-@dataclass(frozen=True)
-class PerpSpace:
-    """The orthogonal complement of a nonzero vector.
+def perp_space(x: StateVector, budget: int | None = None) -> Iterator[StateVector]:
+    """The orthogonal complement of a nonzero vector, one member at a time.
 
-    Membership depends only on supports: y is in x-perp iff supp(y) is
-    contained in the cosupport of x, so the complement is a frame of
-    dimension |cosupp(x)| holding (l+1)^dim vectors including the zero
-    vector.
+    y is orthogonal to x iff supp(y) lies in ``x.cosupport()``, so the
+    members are the (l+1)^k vectors supported there, k = |cosupp(x)|: the
+    zero vector first, then in lexicographic order.  The count is checked
+    against the budget at the call.
     """
-
-    of: StateVector
-    free_indices: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.free_indices)
-
-    def contains(self, y: StateVector) -> bool:
-        _check_compatible(self.of, y)
-        return set(y.support()) <= set(self.free_indices)
-
-    @property
-    def vector_count(self) -> int:
-        return (self.of.order + 1) ** self.dimension
-
-    def vectors(self, budget: int | None = None) -> Iterator[StateVector]:
-        """Every member, the zero vector first, in lexicographic order.
-
-        ``vector_count`` is checked against the budget at call time.
-        """
-        what = f"vectors of a perp space of dimension {self.dimension}"
-        check_budget(self.vector_count, budget, what=what)
-        return self._vectors()
-
-    def _vectors(self) -> Iterator[StateVector]:
-        l = self.of.order
-        entries = [zero(l)] * self.of.dim
-        for combo in itertools.product(elements(l), repeat=self.dimension):
-            for i, e in zip(self.free_indices, combo):
-                entries[i] = e
-            yield _vector(tuple(entries))
-
-
-def perp_space(x: StateVector) -> PerpSpace:
     if x.is_zero:
         raise ValueError("the zero vector has no perp space")
-    return PerpSpace(of=x, free_indices=x.cosupport())
+    l, k = x.order, len(x.cosupport())
+    what = f"vectors of a perp space of dimension {k}"
+    check_budget((l + 1) ** k, budget, what=what)
+    choices = elements(l) if k else ()  # no free slot: list none of the l + 1
+    slots = (choices if e.exp is None else (zero(l),) for e in x.entries)
+    return map(_vector, itertools.product(*slots))
 
 
 @dataclass(frozen=True)

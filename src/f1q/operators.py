@@ -305,17 +305,13 @@ def unitary_group(m: int, r: int, budget: int | None = None) -> list[MonomialMat
     return list(iter_unitaries(m, l, classify_involution(l, r), budget))
 
 
-def is_observable(h: AnyMatrix, sigma: InvolutionSpec | None = None) -> bool:
-    """Whether H equals sigma(H^T), the Hermitian condition.
+def is_observable(h: MonomialMatrix, sigma: InvolutionSpec | None = None) -> bool:
+    """Whether the monomial matrix H equals sigma(H^T), the Hermitian condition.
 
-    Any singular matrix fails.  sigma(H^T) holds sigma(s_j) at (j, perm[j]),
-    so H = sigma(H^T) exactly when perm is an involution and, for every
-    column j, s_(perm[j]) = sigma(s_j).
+    sigma(H^T) holds sigma(s_j) at (j, perm[j]), so H = sigma(H^T) exactly
+    when perm is an involution and, for every column j, s_(perm[j]) =
+    sigma(s_j).
     """
-    if isinstance(h, SubunitalMatrix):
-        if not h.is_monomial:
-            return False
-        h = h.to_monomial()
     d = check_conjugation(sigma, h.order)  # sigma(s) = s^d
     perm, scalars, l = h.perm, h.scalars, h.order
     return all(

@@ -335,6 +335,99 @@ def test_dictionary_stdout_is_pinned(q, fmt):
     assert proc.stdout == DICTIONARY_STDOUT[q, fmt]
 
 
+# Full stdout of `involutions`, byte for byte, so that no change to the
+# classification goes unseen.  The JSON payloads are written as values and
+# rendered as the CLI renders every payload, with ``json.dumps(indent=2)``.
+INVOLUTIONS_JSON = {
+    ("--m", "24"): {
+        "m": 24,
+        "records": [
+            {"r": 1, "map": "v -> v^2", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 2, "map": "v -> v^3", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 2},
+            {"r": 3, "map": "v -> v^4", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 3},
+            {"r": 4, "map": "v -> v^5", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 4},
+            {"r": 5, "map": "v -> v^6", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 6, "map": "v -> v^7", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 6},
+            {"r": 7, "map": "v -> v^8", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 8, "map": "v -> v^9", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 8},
+            {"r": 9, "map": "v -> v^10", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 3},
+            {"r": 10, "map": "v -> v^11", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 2},
+            {"r": 11, "map": "v -> v^12", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 12, "map": "v -> v^13", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 12},
+            {"r": 13, "map": "v -> v^14", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 14, "map": "v -> v^15", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 2},
+            {"r": 15, "map": "v -> v^16", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 3},
+            {"r": 16, "map": "v -> v^17", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 8},
+            {"r": 17, "map": "v -> v^18", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 18, "map": "v -> v^19", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 6},
+            {"r": 19, "map": "v -> v^20", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 20, "map": "v -> v^21", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 4},
+            {"r": 21, "map": "v -> v^22", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 3},
+            {"r": 22, "map": "v -> v^23", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 2},
+            {"r": 23, "map": "v -> v^24", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+            {"r": 24, "map": "v -> v^25", "sub": True, "ntriv": False, "valid": False, "fixed_field_order": 24},
+        ],
+        "valid_r": [4, 6, 10, 12, 16, 18, 22],
+    },
+    ("--m", "8", "--r", "2"): {
+        "m": 8,
+        "records": [
+            {"r": 2, "map": "v -> v^3", "sub": True, "ntriv": True, "valid": True, "fixed_field_order": 2, "fixed_elements": ["0", "w^0", "w^4"]},
+        ],
+        "valid_r": [2],
+    },
+    # r = 3 is not valid at level 8 (v -> v^4 twice sends w^1 to w^16 = w^0),
+    # so the record has no fixed_elements
+    ("--m", "8", "--r", "3"): {
+        "m": 8,
+        "records": [
+            {"r": 3, "map": "v -> v^4", "sub": False, "ntriv": True, "valid": False, "fixed_field_order": 1},
+        ],
+        "valid_r": [],
+    },
+}
+INVOLUTIONS_STDOUT = {
+    ("--m", "24"): """\
+level m=24, maps v -> v^(r+1):
+  r=1: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=2: SUB=n NTRIV=y -> not an involution (fixed field size 3)
+  r=3: SUB=n NTRIV=y -> not an involution (fixed field size 4)
+  r=4: SUB=y NTRIV=y -> involution (fixed field size 5)
+  r=5: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=6: SUB=y NTRIV=y -> involution (fixed field size 7)
+  r=7: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=8: SUB=n NTRIV=y -> not an involution (fixed field size 9)
+  r=9: SUB=n NTRIV=y -> not an involution (fixed field size 4)
+  r=10: SUB=y NTRIV=y -> involution (fixed field size 3)
+  r=11: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=12: SUB=y NTRIV=y -> involution (fixed field size 13)
+  r=13: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=14: SUB=n NTRIV=y -> not an involution (fixed field size 3)
+  r=15: SUB=n NTRIV=y -> not an involution (fixed field size 4)
+  r=16: SUB=y NTRIV=y -> involution (fixed field size 9)
+  r=17: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=18: SUB=y NTRIV=y -> involution (fixed field size 7)
+  r=19: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=20: SUB=n NTRIV=y -> not an involution (fixed field size 5)
+  r=21: SUB=n NTRIV=y -> not an involution (fixed field size 4)
+  r=22: SUB=y NTRIV=y -> involution (fixed field size 3)
+  r=23: SUB=n NTRIV=y -> not an involution (fixed field size 2)
+  r=24: SUB=y NTRIV=n -> not an involution (fixed field size 25)
+""",
+    **{
+        (*args, "--json"): json.dumps(payload, indent=2) + "\n"
+        for args, payload in INVOLUTIONS_JSON.items()
+    },
+}
+
+
+@pytest.mark.parametrize("args", INVOLUTIONS_STDOUT, ids=" ".join)
+def test_involutions_stdout_is_pinned(args):
+    proc = run_cli("involutions", *args)
+    assert proc.returncode == 0
+    assert proc.stdout == INVOLUTIONS_STDOUT[args]
+
+
 def test_usage_errors_exit_2():
     assert run_cli("field", "info").returncode == 2  # missing --l
     assert run_cli("field", "info", "--l", "0").returncode == 2

@@ -1,6 +1,7 @@
 """Ground arithmetic: exponent elements, power maps, automorphisms, involutions."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from f1q.field import (
     F1Element,
+    InvolutionSpec,
     automorphism_group,
     check_conjugation,
     classify_involution,
@@ -158,6 +160,21 @@ def test_involution_application():
     assert spec(spec(unit(1, 3))) == unit(1, 3)
     with pytest.raises(ValueError):
         spec(unit(1, 5))  # level mismatch
+
+
+def test_involution_flags_are_derived_from_m_and_r():
+    # v -> v^4 at level 8 sends w^1 to w^4 and back to w^0: no involution,
+    # so no flags can be passed in to claim otherwise
+    assert [f.name for f in dataclasses.fields(InvolutionSpec)] == ["m", "r"]
+    spec = InvolutionSpec(8, 3)
+    assert not spec.sub_ok and spec.ntriv_ok and not spec.valid
+    assert spec(spec(unit(1, 8))) == unit(0, 8)
+    with pytest.raises(ValueError, match=r"\(8, 3\) is not a valid involution"):
+        check_conjugation(spec, 8)
+    assert classify_involution(8, 2) == InvolutionSpec(8, 2)
+    for m, r in [(0, 1), (1, 0), (-2, 3)]:
+        with pytest.raises(ValueError, match="m and r must be >= 1"):
+            InvolutionSpec(m, r)
 
 
 @pytest.mark.parametrize("m", range(1, 21))
