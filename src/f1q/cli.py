@@ -162,18 +162,19 @@ def _cmd_field_info(args: argparse.Namespace) -> Result:
     check_budget(l + 1, args.budget, what=f"elements at level {l}")
     elems = elements(l)
     auts = automorphism_group(l)
+    phi = totient(l)
     payload = {
         "l": l,
         "element_count": len(elems),
         "elements": [str(e) for e in elems],
         "automorphism_count": len(auts),
         "automorphism_exponents": auts,
-        "totient": totient(l),
+        "totient": phi,
     }
     text = "\n".join(
         [
             f"level {l}: {len(elems)} elements: " + ", ".join(str(e) for e in elems),
-            f"automorphisms: {len(auts)} (totient {totient(l)}), "
+            f"automorphisms: {len(auts)} (totient {phi}), "
             "exponents " + ", ".join(str(d) for d in auts),
         ]
     )

@@ -2,11 +2,11 @@
 
 Small quadratic extensions F_{q^2} carry the conjugation x -> x^q with fixed
 field F_q, a total Hermitian form, and a Born-style value sigma(h)*h that
-always lands in the fixed field.  Searching the monomial matrices over
-F_{q^2} for unitarity by dense matrix arithmetic shows the allowed scalars
-are exactly the (q+1)-st roots of unity, the same cyclic group mu_{r+2} that
-the monoid-field unitary groups carry at r = q - 1.  ``dictionary_table``
-lines the two theories up side by side and machine-checks that alignment.
+always lands in the fixed field.  The unitary monomial matrices over F_{q^2}
+have exactly the (q+1)-st roots of unity as scalars, the same cyclic group
+mu_{r+2} that the monoid-field unitary groups carry at r = q - 1.
+``dictionary_table`` lines the two theories up side by side and
+machine-checks that alignment.
 
 The multiplicative monoid of F_{q^2} is {0} + mu_{q^2-1}, so an element of
 F_{q^2} is an ``F1Element`` at level n = q^2 - 1: zero, or g^k held as w^k
@@ -15,8 +15,9 @@ level's own, and the conjugation x -> x^q is the involution
 ``classify_involution(n, q - 1)``.  Only addition needs the coefficient
 pairs (c0, c1), meaning c0 + c1*t with t a root of the modulus
 t^2 + b*t + c: they build the Zech table Z(k) = log(1 + g^k) (Lidl and
-Niederreiter, *Finite Fields*), and g^a + g^b = g^(a + Z(b - a)).  The
-unitarity search runs on exponents throughout.
+Niederreiter, *Finite Fields*), and g^a + g^b = g^(a + Z(b - a)).  A
+monomial matrix never adds two nonzero terms in A*A, so its unitarity is
+the F_1 rule at level n and needs no addition at all.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 
 from .budget import _check_wreath
 from .field import (
-    F1Element, InvolutionSpec, check_conjugation, classify_involution, unit, zero
+    F1Element, InvolutionSpec, check_conjugation, classify_involution, unit,
+    unitary_exponents, zero,
 )
-from .operators import unitary_group
+from .operators import unitary_group, unitary_order
 
 __all__ = [
     "GFField",
@@ -179,76 +181,19 @@ class MonomialUnitaryScan:
         return len(self.allowed_scalars)
 
 
-def _unitary_columns(field: GFField, m: int) -> tuple[int, set[int]]:
-    """Count the unitary monomial m x m matrices over the field and collect
-    the logs of their scalars, placing one column at a time.
-
-    Column j takes a free row and a log.  As it lands, the entries (j, j),
-    then (i, j) and (j, i) for each placed i < j, of A*A are summed densely,
-    over all m rows, with the Zech table.  Every completion of the prefix
-    shares those entries, so the first one that differs from the identity
-    prunes the subtree, and the search stays exhaustive.
-    """
-    d, n, zech = check_conjugation(field.sigma, field.level), field.level, field.zech
-    a: list[list[int | None]] = [[None] * m for _ in range(m)]
-    free = [True] * m
-    exps = [0] * m
-    count = 0
-    seen: set[int] = set()
-
-    def gram(i: int, j: int) -> int | None:
-        # (A* A)[i][j] = sum_k conj(A[k][i]) * A[k][j] as a log, None for 0.
-        # In logs a product is d*x + y, and g^s + g^u = g^s * (1 + g^(u-s)).
-        total = None
-        for row in a:
-            x, y = row[i], row[j]
-            if x is None or y is None:
-                continue
-            term = (d * x + y) % n
-            if total is None:
-                total = term
-            else:
-                z = zech[(term - total) % n]
-                total = None if z is None else (total + z) % n
-        return total
-
-    def extend(j: int) -> None:
-        nonlocal count
-        if j == m:
-            count += 1
-            seen.update(exps)
-            return
-        for r in range(m):
-            if not free[r]:
-                continue
-            free[r] = False
-            for e in range(n):
-                a[r][j] = e
-                if gram(j, j) == 0 and all(
-                    gram(i, j) is None and gram(j, i) is None for i in range(j)
-                ):
-                    exps[j] = e
-                    extend(j + 1)
-            a[r][j] = None
-            free[r] = True
-
-    extend(0)
-    return count, seen
-
-
 def monomial_unitary_entries(
     q: int, m: int, budget: int | None = None
 ) -> MonomialUnitaryScan:
     """Scalars occurring in unitary monomial matrices over F_{q^2}.
 
-    A depth-first search places one column (a free row and a discrete log)
-    at a time and checks the new entries of conjugate-transpose times
-    itself against the identity as the column lands, summing densely with
-    the Zech table and never shortcutting through the scalar condition; a
-    wrong entry prunes every completion.  The survivors' scalars form the
-    group of (q+1)-st roots of unity.  The m! * (q^2 - 1)^m candidates the
-    search covers are checked against the budget first, and that count is
-    the only limit on m.
+    A monomial A has one nonzero s_j per column, in distinct rows, so
+    (A*A)[i][j] has no term for i != j and the single term sigma(s_j) s_j
+    for i = j.  A is unitary exactly when every s_j is a unitary scalar,
+    which is the F_1 rule of ``is_unitary`` at level q^2 - 1: the scalars
+    are ``unitary_exponents``, the (q+1)-st roots of unity, and the count
+    is ``unitary_order``.  ``oracles.dense_monomial_scan`` checks this by
+    dense arithmetic.  The budget counts the m! * (q^2 - 1)^m candidates
+    the count is taken over, and that is the only limit on m.
     """
     _check_scan(q, m, budget)
     return _scan(gf_build(q), m)
@@ -262,9 +207,9 @@ def _check_scan(q: int, m: int, budget: int | None) -> None:
 
 
 def _scan(field: GFField, m: int) -> MonomialUnitaryScan:
-    count, seen = _unitary_columns(field, m)
-    scalars = tuple(unit(k, field.level) for k in sorted(seen))
-    return MonomialUnitaryScan(q=field.q, m=m, unitary_count=count, allowed_scalars=scalars)
+    n, sigma = field.level, field.sigma
+    scalars = tuple(unit(e, n) for e in unitary_exponents(sigma, n))
+    return MonomialUnitaryScan(field.q, m, unitary_order(m, n, sigma), scalars)
 
 
 @dataclass(frozen=True)
@@ -340,28 +285,25 @@ class DictionaryTable:
 def dictionary_table(q: int, budget: int | None = None) -> DictionaryTable:
     """Instantiate the four-theory comparison at prime q and r = q - 1.
 
-    F_{q^2} is built once.  The modal scalar group is measured on it by the
-    search of ``monomial_unitary_entries`` at m = 2, and the modal fixed
+    F_{q^2} is built once, as the level q^2 - 1 = r(r+2) with the
+    conjugation v -> v^(r+1).  The modal scalar group is that of
+    ``monomial_unitary_entries`` at m = 2, exact because a monomial's A*A
+    has one term per diagonal entry and none off it, and the modal fixed
     field is counted as the elements the conjugation fixes; the absolute
-    scalar group is collected from the actual unitary group over the
-    level-r(r+2) monoid field at m = 2.  The static complex and
-    division-ring rows document the theories the finite rows imitate.
-    The scan is checked against the budget before any table is built, and
-    the unitary group checks its own.
+    scalar group is collected from the actual unitary group at the same
+    level and m = 2.  The static complex and division-ring rows document
+    the theories the finite rows imitate.  The budget counts the
+    2 * (q^2 - 1)^2 candidate monomials of the modal count and is checked
+    before any table is built; the unitary group checks its own.
     """
     _check_scan(q, 2, budget)
     field = gf_build(q)
     scan = _scan(field, 2)
-    r = q - 1
-    level = r * (r + 2)
-
-    sigma = classify_involution(level, r)
-    if not sigma.valid:
-        raise AssertionError(f"level {level} must admit the power-(r+1) involution")
+    r, level = q - 1, field.level
     absolute_scalars = sorted(
         {s.exp for u in unitary_group(2, r, budget=budget) for s in u.scalars}
     )
-    fixed_sizes = (len(field.sigma.fixed_elements()), sigma.fixed_field_order + 1)
+    fixed_sizes = (len(field.sigma.fixed_elements()), field.sigma.fixed_field_order + 1)
 
     rows = (
         DictionaryRow(

@@ -193,7 +193,7 @@ def _dictionary() -> tuple[bool, str]:
         for m in (1, 2):
             candidates += math.factorial(m) * (q * q - 1) ** m
             if monomial_unitary_entries(q, m) != dense_monomial_scan(q, m):
-                return False, f"column search differs from dense scan at q={q}, m={m}"
+                return False, f"F_1 rule at level q^2-1 differs from dense scan at q={q}, m={m}"
         table = dictionary_table(q)
         if table.modal_scalar_order != q + 1:
             return False, f"scalar group order {table.modal_scalar_order} at q={q}"
@@ -209,7 +209,7 @@ def _dictionary() -> tuple[bool, str]:
             if born_value(field, x, y) not in fixed:
                 return False, f"born value outside fixed field for {x}, {y}"
     return True, (
-        f"column search equals the dense scan on all {candidates} monomial "
+        f"F_1 rule at level q^2-1 equals the dense scan on all {candidates} monomial "
         f"candidates for q in (2, 3), m <= 2; scalar groups have order q+1 and "
         f"rows align for q in (2, 3); born values in the fixed field for all "
         f"{pairs} pairs at m=2, q=2"

@@ -1,6 +1,7 @@
 """CLI behavior: payload shapes, exit codes, determinism."""
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -333,6 +334,32 @@ def test_dictionary_stdout_is_pinned(q, fmt):
     proc = run_cli("dictionary", "--q", str(q), *flags)
     assert proc.returncode == 0
     assert proc.stdout == DICTIONARY_STDOUT[q, fmt]
+
+
+# sha256 of the same stdout at the larger q the subcommand accepts, run in
+# process so that the pins cost no interpreter start-up.
+DICTIONARY_SHA256 = {
+    (5, "text"): "69ffbc930d683e6bd96a2f32d14472c5ac638d2713c09e804caa207fa8adb66d",
+    (5, "json"): "04df58b0a6ffd2a154eb8f2b4c8e18b7dab7d9626ecd3a924b2f21f84392b0b3",
+    (5, "csv"): "539b7fa57e81819b6a4dc64ac155b94fcb07a22bb1817bed0b0487463b55ca7e",
+    (7, "text"): "f48c532b7808f92744fc9409cd7ee3aa0f9da71d573db77b3cbbb5f3fdbbaecc",
+    (7, "json"): "64111f3489da740d569dbb5ab289876e926a07c12bc465ac4376f84fad9c983d",
+    (7, "csv"): "a9e7677d57f291192843dcb6f0f8d17c9c923e41513794c0629f6725de42dcae",
+    (11, "text"): "1cd2b9878ba7743c406b05347e681d50440dad5ff6f45ac798a95104489d030c",
+    (11, "json"): "487c178e4d127cfb99f4b131b4a2ee0b0edbcd8bc1ad44462dfd8a6a9b1d42a9",
+    (11, "csv"): "4c54f7c3340ff6e49e9a20c28c53ad0ab0befd0ba06b630d63fb76399e8fade0",
+    (13, "text"): "cdacd0aa6879925943f4436b3a77c851388f494ee580d10899fe532df3f1732a",
+    (13, "json"): "98c7203ff99a8ed446a0d95497c3982e52ae5624afb393ac14beeb3e00366829",
+    (13, "csv"): "044b62b1abd98ce5b78b8cd44eeab1aeb04ae8b3606635eb78546fae843b7f28",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(DICTIONARY_SHA256))
+def test_dictionary_stdout_is_pinned_by_hash(q, fmt, capsys):
+    flags = [] if fmt == "text" else [f"--{fmt}"]
+    assert main(["dictionary", "--q", str(q), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DICTIONARY_SHA256[q, fmt]
 
 
 # Full stdout of `involutions`, byte for byte, so that no change to the

@@ -16,9 +16,11 @@ from f1q.field import (
     one,
     unit,
     unitary_exponents,
+    units,
     zero,
 )
 from f1q.frames import StateVector, standard_form
+from f1q.operators import MonomialMatrix, is_unitary
 from f1q.oracles import dense_monomial_scan
 from f1q.mqt import (
     born_value,
@@ -396,6 +398,7 @@ def _poly_dense_scan(q, m):
     "q, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]
 )
 def test_log_scan_matches_coefficient_scan(q, m):
+    # the F_1 rule at level q^2 - 1 against dense A*A in coefficient pairs
     scan = monomial_unitary_entries(q, m)
     count, scalars = _poly_dense_scan(q, m)
     assert (scan.q, scan.m) == (q, m)
@@ -427,6 +430,7 @@ def test_dictionary_budget():
     "q, m", [(q, 2) for q in PRIMES] + [(2, 3), (3, 3), (2, 4)]
 )
 def test_column_search_matches_dense_scan(q, m):
+    # the F_1 rule at level q^2 - 1 against the dense log-and-Zech oracle
     assert monomial_unitary_entries(q, m) == dense_monomial_scan(q, m)
 
 
@@ -435,12 +439,38 @@ def test_column_search_matches_dense_scan(q, m):
     [(5, 4, 24 * 24**4), (13, 3, 6 * 168**3)],  # m! * (q^2 - 1)^m candidates
 )
 def test_column_search_beyond_the_dense_scan(q, m, budget):
+    # the F_1 rule past the oracle's reach, against the closed form
     scan = monomial_unitary_entries(q, m, budget=budget)
     assert scan.unitary_count == math.factorial(m) * (q + 1) ** m
     want = {unit(k, q * q - 1) for k in range(0, q * q - 1, q - 1)}  # the g^k, (q - 1) | k
     assert set(scan.allowed_scalars) == want
     with pytest.raises(BudgetExceededError):
         monomial_unitary_entries(q, m, budget=budget - 1)
+
+
+@pytest.mark.parametrize("q, m, total", [(2, 2, 18), (3, 2, 128), (2, 3, 162)])
+def test_monomial_gram_is_the_per_column_rule(q, m, total):
+    """A*A of a monomial has no term off the diagonal and the single term
+    s_j^q * s_j at (j, j), so the dense test is the F_1 ``is_unitary``."""
+    f = gf_build(q)
+    n, z, e = f.level, zero(f.level), one(f.level)
+    seen = unitary = 0
+    for perm in itertools.permutations(range(m)):
+        for scalars in itertools.product(units(n), repeat=m):
+            cols = [
+                tuple(s if row == p else z for row in range(m))
+                for p, s in zip(perm, scalars)
+            ]
+            dense_ok = True
+            for i, j in itertools.product(range(m), repeat=2):
+                entry = hermitian_form(f, cols[i], cols[j])
+                assert entry == (scalars[j] ** q * scalars[j] if i == j else z)
+                dense_ok = dense_ok and entry == (e if i == j else z)
+            assert dense_ok == is_unitary(MonomialMatrix(n, perm, scalars), f.sigma)
+            seen += 1
+            unitary += dense_ok
+    assert seen == total
+    assert unitary == math.factorial(m) * (q + 1) ** m
 
 
 @pytest.mark.parametrize("q", PRIMES)
